@@ -163,9 +163,9 @@ def _cmd_outage(args) -> int:
     grid_db = _parse_grid(args.grid_db)
     strategy = _STRATEGIES[args.strategy]
     ratios = 10.0 ** (grid_db / 10.0)
-    exact = [composite.outage(model, r, 1.0, strategy) for r in ratios]
+    exact = composite.outage(model, ratios, 1.0, strategy)
     if args.asymptotic:
-        asym = [composite.outage_asymptotic(model, r, 1.0) for r in ratios]
+        asym = composite.outage_asymptotic(model, ratios, 1.0)
         rows = [
             (_fmt(db), _fmt(e), _fmt(a)) for db, e, a in zip(grid_db, exact, asym)
         ]

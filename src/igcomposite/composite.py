@@ -5,12 +5,18 @@ A composite model multiplies a normalized inverse-gamma shadowing variable
 power w_bar. PDF/CDF/outage evaluate through three interchangeable routes:
 
 * the general transform route, which feeds the baseline's generalized MGF
-  into the shadowing average (CDF as an infinite series);
+  into the shadowing average (CDF as an infinite series per point, the
+  series of all points summed side by side);
 * the integer-shape route, where the CDF collapses to an m-term sum;
 * the mixture route, where a gamma-mixture baseline turns the composite
-  into a mixture of Fisher-Snedecor F distributions.
+  into a mixture of Fisher-Snedecor F distributions. Its CDF costs one
+  regularized incomplete beta per point: the components share that
+  function's argument and step their shape by 1, so a downward recurrence
+  of positive terms gives the rest.
 
 A slow direct-averaging quadrature route is kept as a numeric oracle.
+Outage and its asymptote are vectorized over the threshold, so a sweep is
+one call.
 """
 
 from __future__ import annotations
@@ -23,7 +29,13 @@ import numpy as np
 import scipy.special as sc
 
 from . import fading
-from .numerics import DEFAULT_TOL, Tolerance, integrate_semi_infinite, sum_series
+from .numerics import (
+    DEFAULT_TOL,
+    ConvergenceError,
+    Tolerance,
+    integrate_semi_infinite,
+    sum_series,
+)
 
 __all__ = [
     "CompositeModel",
@@ -136,28 +148,12 @@ def f_pdf(params: FDistParams, t):
 
 
 def f_cdf(params: FDistParams, t):
-    """F-distribution CDF; vectorized over t > 0.
-
-    Direct hypergeometric form, with the regularized-incomplete-beta
-    identity as a fallback where the t^k * 2F1 product leaves float range.
-    """
+    """F-distribution CDF I_x(k, m) at x = k t / (k t + (m-1) omega);
+    vectorized over t > 0."""
     arr = _as_positive(t, "f_cdf")
     m, k, om = params.m, params.k, params.omega
-    ln_pre = (
-        (k - 1.0) * math.log(k)
-        + k * np.log(arr)
-        - sc.betaln(m, k)
-        - k * math.log(m - 1.0)
-        - k * math.log(om)
-    )
-    with np.errstate(over="ignore", invalid="ignore"):
-        hyp = sc.hyp2f1(k, k + m, k + 1.0, -k * arr / ((m - 1.0) * om))
-        out = np.exp(ln_pre) * hyp
-    bad = ~np.isfinite(out) | (ln_pre > 650.0) | (hyp <= 0.0)
-    if np.any(bad):
-        x = k * arr / (k * arr + (m - 1.0) * om)
-        out = np.where(bad, sc.betainc(k, m, x), out)
-    return _maybe_scalar(np.clip(out, 0.0, 1.0), t)
+    out = sc.betainc(k, m, k * arr / (k * arr + (m - 1.0) * om))
+    return _maybe_scalar(out, t)
 
 
 def mixture_of_f(model: CompositeModel, tol: Tolerance = DEFAULT_TOL) -> FMixture:
@@ -223,16 +219,13 @@ def composite_pdf(
     m_eval = float(round(m)) if strat is Strategy.GMGF_INTEGER else m
     base = m_eval * math.log(wb * (m_eval - 1.0)) - sc.gammaln(m_eval)
     flat = np.atleast_1d(arr)
-    vals = np.empty_like(flat)
-    for i, x in enumerate(flat):
-        if x < 1e-300:  # s would overflow; density is far below float range
-            vals[i] = 0.0
-            continue
-        s = (1.0 - m_eval) * wb / x
-        ln_f = base - (m_eval + 1.0) * math.log(x) + fading.gmgf_log(
-            model.baseline, m_eval, s, tol
-        )
-        vals[i] = math.exp(ln_f) if ln_f > -745.0 else 0.0
+    vals = np.zeros(flat.shape)
+    live = flat >= 1e-300  # below, s would overflow; the density is far below float range
+    x = flat[live]
+    ln_f = base - (m_eval + 1.0) * np.log(x) + fading.gmgf_log(
+        model.baseline, m_eval, (1.0 - m_eval) * wb / x, tol
+    )
+    vals[live] = np.where(ln_f > -745.0, np.exp(ln_f), 0.0)
     return _maybe_scalar(vals.reshape(arr.shape), u)
 
 
@@ -259,53 +252,104 @@ def composite_cdf(
     strat = _resolve(model, strategy)
     if strat is Strategy.MIXTURE:
         mix = mixture_of_f(model, tol)
-        out = mix.prefactor * sum(
-            t.weight * np.asarray(f_cdf(t.params, arr)) for t in mix.terms
-        )
-        return _maybe_scalar(np.clip(np.asarray(out), 0.0, 1.0), u)
+        out = mix.prefactor * _f_mixture_cdf(mix.terms, arr)
+        return _maybe_scalar(np.clip(out, 0.0, 1.0), u)
     flat = np.atleast_1d(arr)
-    if strat is Strategy.GMGF_INTEGER:
-        vals = np.array([_cdf_integer(model, x, tol) for x in flat])
-    elif strat is Strategy.GMGF_GENERAL:
-        vals = np.array([_cdf_series(model, x, tol) for x in flat])
-    else:
+    if strat is Strategy.NUMERIC_ORACLE:
         vals = np.array([_cdf_numeric(model, x, tol) for x in flat])
+    else:
+        vals = np.zeros(flat.shape)
+        live = flat >= 1e-300  # the CDF is 0 to float precision below
+        route = _cdf_integer if strat is Strategy.GMGF_INTEGER else _cdf_series
+        if live.any():
+            vals[live] = route(model, flat[live], tol)
     return _maybe_scalar(np.clip(vals.reshape(arr.shape), 0.0, 1.0), u)
 
 
-def _cdf_series(model: CompositeModel, u: float, tol: Tolerance) -> float:
+def _f_mixture_cdf(terms: tuple[FTerm, ...], t: np.ndarray) -> np.ndarray:
+    """sum_i weight_i * F_i(t) for the F components `mixture_of_f` builds.
+
+    They share m and omega/k, hence x = t / (t + (m-1) omega/k), and their
+    shapes step by 1. One incomplete beta gives the top component; the
+    others follow downward by DLMF 8.17.20,
+    I_x(a, m) = I_x(a+1, m) + x^a (1-x)^m / (a B(a, m)),
+    which adds only positive terms.
+    """
+    top = terms[-1].params
+    m = top.m
+    c = (m - 1.0) * top.omega / top.k
+    ln_den = np.log(t + c)
+    ln_x = np.log(t) - ln_den
+    m_ln_1mx = m * (math.log(c) - ln_den)
+    cdf = np.asarray(f_cdf(top, t))
+    total = terms[-1].weight * cdf
+    for term in reversed(terms[:-1]):
+        a = term.params.k
+        cdf = cdf + np.exp(a * ln_x + m_ln_1mx - math.log(a) - sc.betaln(a, m))
+        total = total + term.weight * cdf
+    return total
+
+
+def _cdf_series(model: CompositeModel, u: np.ndarray, tol: Tolerance) -> np.ndarray:
     # F(u) = 1 - sum_n [(m-1) w_bar / u]^(m+n) / Gamma(m+n+1) * phi^(m+n)(s).
     # Terms are positive and single-peaked in n (each model's GMGF decays
     # like (c - s)^-(q+1), making the term ratio |s|/(c+|s|) * (1+o(1)) < 1
     # past the peak), so the 3-quiet-terms stop rule cannot fire early.
     m, wb = model.m, model.w_bar
-    if u < 1e-300:
-        return 0.0
     s = (1.0 - m) * wb / u
-    ln_r = math.log((m - 1.0) * wb / u)
+    ln_r = np.log((m - 1.0) * wb / u)
 
-    def term(n: int) -> float:
-        q = m + n
-        ln_t = q * ln_r - sc.gammaln(q + 1.0) + fading.gmgf_log(model.baseline, q, s, tol)
-        return math.exp(ln_t) if ln_t > -745.0 else 0.0
+    def ln_term(q, ln_r, s):
+        return q * ln_r - sc.gammaln(q + 1.0) + fading.gmgf_log(model.baseline, q, s, tol)
 
-    total, _ = sum_series(term, tol)
+    def lost_precision() -> ConvergenceError:  # far out in p the GMGF turns NaN
+        return ConvergenceError(
+            f"{type(model.baseline).__name__} GMGF lost all precision in the series "
+            f"at m = {m}", estimate=math.nan, error_bound=math.inf,
+        )
+
+    if isinstance(model.baseline, fading.TWDP) and model.integer_m:
+        # at integer orders TWDP's GMGF is a closed form evaluated point by
+        # point: side-by-side series would save nothing and pay for the
+        # terms a block runs past a stop
+        def point(r: float, x: float) -> float:
+            def term(n: int) -> float:
+                ln_t = ln_term(m + n, r, x)
+                if math.isnan(ln_t):
+                    raise lost_precision()
+                return math.exp(ln_t) if ln_t > -745.0 else 0.0
+
+            return sum_series(term, tol)[0]
+
+        total = np.array([point(r, x) for r, x in zip(ln_r.tolist(), s.tolist())])
+    else:
+        def terms(ns: np.ndarray, idx: np.ndarray) -> np.ndarray:
+            ln_t = ln_term(m + ns, ln_r[idx, None], s[idx, None])
+            if np.isnan(ln_t).any():
+                raise lost_precision()
+            return np.where(ln_t > -745.0, np.exp(ln_t), 0.0)
+
+        # the smallest u needs the most terms: sum its series first, so one
+        # that cannot converge raises before the others are summed
+        head = int(np.argmin(u))
+        rest = np.delete(np.arange(u.size), head)
+        total = np.empty(u.size)
+        total[[head]], _ = sum_series(lambda ns, idx: terms(ns, idx + head), tol, 1)
+        total[rest], _ = sum_series(lambda ns, idx: terms(ns, rest[idx]), tol, rest.size)
     return 1.0 - total
 
 
-def _cdf_integer(model: CompositeModel, u: float, tol: Tolerance) -> float:
+def _cdf_integer(model: CompositeModel, u: np.ndarray, tol: Tolerance) -> np.ndarray:
     m_int = round(model.m)
     wb = model.w_bar
-    if u < 1e-300:
-        return 0.0
     s = (1.0 - m_int) * wb / u
-    ln_r = math.log((m_int - 1.0) * wb / u) if m_int > 1 else -math.inf
-    total = 0.0
+    ln_r = np.log((m_int - 1.0) * wb / u)
+    total = np.zeros(u.shape)
     for n in range(m_int):
         ln_t = n * ln_r - sc.gammaln(n + 1.0) + fading.gmgf_log(
             model.baseline, float(n), s, tol
         )
-        total += math.exp(ln_t) if ln_t > -745.0 else 0.0
+        total += np.where(ln_t > -745.0, np.exp(ln_t), 0.0)
     return total
 
 
@@ -338,23 +382,27 @@ def amplitude_cdf(model, r, strategy=Strategy.AUTO, tol=DEFAULT_TOL):
 
 def outage(
     model: CompositeModel,
-    gamma_th: float,
+    gamma_th,
     gamma_bar: float,
     strategy: Strategy = Strategy.AUTO,
     tol: Tolerance = DEFAULT_TOL,
 ):
-    """Outage probability P(SNR < gamma_th) = F_W(w_bar gamma_th / gamma_bar)."""
-    if not gamma_th > 0:
+    """Outage probability P(SNR < gamma_th) = F_W(w_bar gamma_th / gamma_bar);
+    vectorized over gamma_th, so a whole threshold sweep is one CDF call."""
+    th = np.asarray(gamma_th, dtype=float)
+    if not np.all(th > 0):
         raise ValueError(f"outage: gamma_th must be > 0, got {gamma_th}")
     if not gamma_bar > 0:
         raise ValueError(f"outage: gamma_bar must be > 0, got {gamma_bar}")
-    return composite_cdf(model, model.w_bar * gamma_th / gamma_bar, strategy, tol)
+    return composite_cdf(model, model.w_bar * th / gamma_bar, strategy, tol)
 
 
-def outage_asymptotic(model: CompositeModel, gamma_th: float, gamma_bar: float) -> float:
+def outage_asymptotic(model: CompositeModel, gamma_th, gamma_bar: float):
     """High-mean-SNR outage power law; slope beta+1 is the baseline's
-    diversity order, shadowing only scales the intercept."""
-    if not gamma_th > 0:
+    diversity order, shadowing only scales the intercept. Vectorized over
+    gamma_th."""
+    th = np.asarray(gamma_th, dtype=float)
+    if not np.all(th > 0):
         raise ValueError(f"outage_asymptotic: gamma_th must be > 0, got {gamma_th}")
     if not gamma_bar > 0:
         raise ValueError(f"outage_asymptotic: gamma_bar must be > 0, got {gamma_bar}")
@@ -365,4 +413,5 @@ def outage_asymptotic(model: CompositeModel, gamma_th: float, gamma_bar: float) 
         - sc.gammaln(m)
         - (tp.beta + 1.0) * math.log(m - 1.0)
     )
-    return scale * tp.alpha / (tp.beta + 1.0) * (gamma_th / gamma_bar) ** (tp.beta + 1.0)
+    out = scale * tp.alpha / (tp.beta + 1.0) * (th / gamma_bar) ** (tp.beta + 1.0)
+    return _maybe_scalar(out, gamma_th)

@@ -184,7 +184,8 @@ class GammaMixture:
 
 @dataclass(frozen=True)
 class TailParams:
-    """Small-x CDF power law F(x) ~ (alpha/(beta+1)) (x/omega_x)^(beta+1)."""
+    """Small-x power law f(x) ~ (alpha/omega_x) (x/omega_x)^beta, so that
+    F(x) ~ (alpha/(beta+1)) (x/omega_x)^(beta+1)."""
 
     alpha: float
     beta: float
@@ -194,19 +195,19 @@ class TailParams:
 # PDFs
 # ---------------------------------------------------------------------------
 
-def _ln_hyp1f1(a: float, b: float, w) -> np.ndarray:
+def _ln_hyp1f1(a, b: float, w) -> np.ndarray:
     """ln 1F1(a; b; w) for w >= 0, switching to the large-argument asymptotic
     1F1 ~ Gamma(b)/Gamma(a) e^w w^(a-b) once the direct value would overflow."""
-    w = np.asarray(w, dtype=float)
-    out = np.empty_like(w)
+    a, w = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(w, dtype=float))
+    out = np.empty(w.shape)
     small = w < 600.0
     if np.any(small):
-        out[small] = np.log(sc.hyp1f1(a, b, w[small]))
+        out[small] = np.log(sc.hyp1f1(a[small], b, w[small]))
     if np.any(~small):
-        wl = w[~small]
-        corr = np.log1p((b - a) * (1.0 - a) / wl)
+        al, wl = a[~small], w[~small]
+        corr = np.log1p((b - al) * (1.0 - al) / wl)
         out[~small] = (
-            sc.gammaln(b) - sc.gammaln(a) + wl + (a - b) * np.log(wl) + corr
+            sc.gammaln(b) - sc.gammaln(al) + wl + (al - b) * np.log(wl) + corr
         )
     return out
 
@@ -332,92 +333,95 @@ def _twdp_pdf_scalar(u: float, model: TWDP, tol: Tolerance) -> float:
 # Generalized MGF phi^(p)(s) = E[X^p e^{sX}]
 # ---------------------------------------------------------------------------
 
-def gmgf_log(model: FadingModel, p: float, s: float, tol: Tolerance = DEFAULT_TOL) -> float:
-    """ln phi^(p)(s) for p >= 0, s <= 0.
+def gmgf_log(model: FadingModel, p, s, tol: Tolerance = DEFAULT_TOL):
+    """ln phi^(p)(s) for p >= 0, s <= 0; vectorized over p and s, which
+    broadcast together.
 
     Closed forms for every model except TWDP at non-integer p, which uses a
     single periodic integral (the Laplace transform of the Bessel kernel in
     the integral-form PDF reduces the defining double integral to one over
-    the phase angle).
+    the phase angle), shared by all (p, s) pairs. TWDP's integer-order
+    closed form evaluates point by point.
     """
+    p, arr = np.asarray(p, dtype=float), np.asarray(s, dtype=float)
     om = model.omega_x
     if isinstance(model, Rayleigh):
-        return sc.gammaln(p + 1.0) + p * math.log(om) - (p + 1.0) * math.log1p(-s * om)
-    if isinstance(model, NakagamiM):
+        out = sc.gammaln(p + 1.0) + p * math.log(om) - (p + 1.0) * np.log1p(-arr * om)
+    elif isinstance(model, NakagamiM):
         mf = model.m_f
-        return (
+        out = (
             sc.gammaln(p + mf)
             - sc.gammaln(mf)
             + p * math.log(om)
             + mf * math.log(mf)
-            - (p + mf) * math.log(mf - s * om)
+            - (p + mf) * np.log(mf - arr * om)
         )
-    if isinstance(model, Rician):
+    elif isinstance(model, Rician):
         K = model.k_r
         if K == 0:
             return gmgf_log(Rayleigh(om), p, s)
-        den = 1.0 + K - s * om
-        return (
+        den = 1.0 + K - arr * om
+        out = (
             sc.gammaln(p + 1.0)
             + p * math.log(om)
             + math.log(1.0 + K)
             - K
-            - (p + 1.0) * math.log(den)
-            + float(_ln_hyp1f1(p + 1.0, 1.0, K * (1.0 + K) / den))
+            - (p + 1.0) * np.log(den)
+            + _ln_hyp1f1(p + 1.0, 1.0, K * (1.0 + K) / den)
         )
-    if isinstance(model, KappaMu):
+    elif isinstance(model, KappaMu):
         kap, mu = model.kappa, model.mu
         if kap == 0:
             return gmgf_log(NakagamiM(mu, om), p, s)
-        den = mu * (1.0 + kap) - s * om
-        return (
+        den = mu * (1.0 + kap) - arr * om
+        out = (
             sc.gammaln(mu + p)
             - sc.gammaln(mu)
             + p * math.log(om)
             + mu * math.log(mu)
             + mu * math.log(1.0 + kap)
             - mu * kap
-            - (mu + p) * math.log(den)
-            + float(_ln_hyp1f1(mu + p, mu, mu * mu * kap * (1.0 + kap) / den))
+            - (mu + p) * np.log(den)
+            + _ln_hyp1f1(mu + p, mu, mu * mu * kap * (1.0 + kap) / den)
         )
-    if isinstance(model, Hoyt):
+    elif isinstance(model, Hoyt):
         q = model.q
-        den = q * q + 1.0 - 2.0 * s * q * q * om
-        return (
+        den = q * q + 1.0 - 2.0 * arr * q * q * om
+        out = (
             p * math.log(2.0)
             + (2.0 * p + 1.0) * math.log(q)
             + sc.gammaln(p + 1.0)
             + p * math.log(om)
             + math.log(q * q + 1.0)
-            - (p + 1.0) * math.log(den)
-            + math.log(sc.hyp2f1(0.5, p + 1.0, 1.0, (1.0 - q**4) / den))
+            - (p + 1.0) * np.log(den)
+            + np.log(sc.hyp2f1(0.5, p + 1.0, 1.0, (1.0 - q**4) / den))
         )
-    if isinstance(model, EtaMu):
+    elif isinstance(model, EtaMu):
         eta, mu = model.eta, model.mu
-        den = mu * (eta + 1.0) / eta - s * om
-        return (
+        den = mu * (eta + 1.0) / eta - arr * om
+        out = (
             2.0 * mu * math.log(mu)
             + sc.gammaln(p + 2.0 * mu)
             - sc.gammaln(2.0 * mu)
             + p * math.log(om)
             + 2.0 * mu * math.log(eta + 1.0)
             - mu * math.log(eta)
-            - (p + 2.0 * mu) * math.log(den)
-            + math.log(
+            - (p + 2.0 * mu) * np.log(den)
+            + np.log(
                 sc.hyp2f1(
                     mu,
                     2.0 * mu + p,
                     2.0 * mu,
-                    mu * (1.0 - eta * eta) / (mu * (1.0 + eta) - s * eta * om),
+                    mu * (1.0 - eta * eta) / (mu * (1.0 + eta) - arr * eta * om),
                 )
             )
         )
-    if isinstance(model, KappaMuShadowed):
+    elif isinstance(model, KappaMuShadowed):
         kap, mu, mf = model.kappa, model.mu, model.m_f
         if kap == 0:
             return gmgf_log(NakagamiM(mu, om), p, s)
-        den = mu * (1.0 + kap) - s * om
-        return (
+        den = mu * (1.0 + kap) - arr * om
+        out = (
             sc.gammaln(mu + p)
             - sc.gammaln(mu)
             + mf * math.log(mf)
@@ -425,21 +429,28 @@ def gmgf_log(model: FadingModel, p: float, s: float, tol: Tolerance = DEFAULT_TO
             + mu * math.log(mu)
             + mu * math.log(1.0 + kap)
             - mf * math.log(mu * kap + mf)
-            - (mu + p) * math.log(den)
-            + math.log(
+            - (mu + p) * np.log(den)
+            + np.log(
                 sc.hyp2f1(
                     mf, mu + p, mu, mu * mu * kap * (1.0 + kap) / (mu * kap + mf) / den
                 )
             )
         )
-    if isinstance(model, TWDP):
+    elif isinstance(model, TWDP):
         if model.k_r == 0:
             return gmgf_log(Rayleigh(om), p, s)
-        p_int = round(p)
-        if abs(p - p_int) < _INTEGER_EPS and p_int <= _EQ37_MAX_P:
-            return _twdp_gmgf_closed_log(p_int, s, model)
-        return _twdp_gmgf_numeric_log(p, s, model, tol)
-    raise TypeError(f"unsupported fading model {type(model).__name__}")
+        p, arr = np.broadcast_arrays(p, arr)
+        p_int = np.round(p)
+        closed = (np.abs(p - p_int) < _INTEGER_EPS) & (p_int <= _EQ37_MAX_P)
+        out = np.empty(p.shape)
+        if closed.any():  # integer orders: the closed form, point by point
+            out[closed] = [_twdp_gmgf_closed_log(int(q), float(v), model)
+                           for q, v in zip(p_int[closed], arr[closed])]
+        if not closed.all():
+            out[~closed] = _twdp_gmgf_numeric_log(p[~closed], arr[~closed], model, tol)
+    else:
+        raise TypeError(f"unsupported fading model {type(model).__name__}")
+    return float(out) if out.ndim == 0 else out
 
 
 def gmgf(model: FadingModel, p: float, s: float, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -508,16 +519,17 @@ def _twdp_gmgf_closed_log(p: int, s: float, model: TWDP) -> float:
     return p * math.log(om) - math.log(math.pi) + K * s_om / den + m_ref + math.log(total)
 
 
-def _twdp_gmgf_numeric_log(p: float, s: float, model: TWDP, tol: Tolerance) -> float:
-    """ln phi^(p)(s) for TWDP at real p via one periodic integral."""
+def _twdp_gmgf_numeric_log(p: np.ndarray, s: np.ndarray, model: TWDP,
+                           tol: Tolerance) -> np.ndarray:
+    """ln phi^(p)(s) for TWDP at real p via one periodic integral per
+    (p, s) pair; the pairs share the phase grid."""
     K, D, om = model.k_r, model.delta, model.omega_x
     den = 1.0 + K - s * om
     c = K * (1.0 + K) / den
 
     def integrand(alpha: np.ndarray) -> np.ndarray:
-        return np.exp(-K * D * np.cos(alpha)) * sc.hyp1f1(
-            p + 1.0, 1.0, c * (1.0 + D * np.cos(alpha))
-        )
+        cos = np.cos(alpha)[:, None]
+        return np.exp(-K * D * cos) * sc.hyp1f1(p + 1.0, 1.0, c * (1.0 + D * cos))
 
     val, _ = integrate_finite(integrand, 0.0, 2.0 * math.pi, tol, periodic=True)
     return (
@@ -526,8 +538,8 @@ def _twdp_gmgf_numeric_log(p: float, s: float, model: TWDP, tol: Tolerance) -> f
         + sc.gammaln(p + 1.0)
         - math.log(2.0 * math.pi)
         + p * math.log(om)
-        - (p + 1.0) * math.log(den)
-        + math.log(val)
+        - (p + 1.0) * np.log(den)
+        + np.log(val)
     )
 
 
@@ -661,34 +673,46 @@ def _twdp_mixture(model: TWDP, tol: Tolerance) -> GammaMixture:
 # ---------------------------------------------------------------------------
 
 def tail_params(model: FadingModel) -> TailParams:
-    """Power-law parameters of the CDF near the origin.
-
-    Closed forms for Rayleigh, Nakagami-m and TWDP; the remaining models are
-    measured by log-log least squares on quadrature CDF values over
-    x/omega_x in [1e-6, 1e-4] (their published constants live in external
-    references we do not hard-code).
-    """
-    om = model.omega_x
+    """Power-law parameters of the PDF near the origin,
+    f(x) ~ (alpha/omega_x) (x/omega_x)^beta, from the exact small-x limit of
+    each model's PDF (Bessel I_nu(z) ~ (z/2)^nu / Gamma(nu+1), 1F1 -> 1)."""
     if isinstance(model, Rayleigh):
         return TailParams(1.0, 0.0)
+    if isinstance(model, Rician):
+        K = model.k_r
+        return TailParams((1.0 + K) * math.exp(-K), 0.0)
     if isinstance(model, NakagamiM):
         mf = model.m_f
         return TailParams(math.exp(mf * math.log(mf) - sc.gammaln(mf)), mf - 1.0)
+    if isinstance(model, Hoyt):
+        q = model.q
+        return TailParams((1.0 + q * q) / (2.0 * q), 0.0)
+    if isinstance(model, KappaMu):
+        kap, mu = model.kappa, model.mu
+        return TailParams(
+            math.exp(mu * math.log(mu * (1.0 + kap)) - mu * kap - sc.gammaln(mu)),
+            mu - 1.0,
+        )
+    if isinstance(model, EtaMu):
+        eta, mu = model.eta, model.mu
+        h = (2.0 + 1.0 / eta + eta) / 4.0
+        return TailParams(
+            math.exp(2.0 * mu * math.log(2.0 * mu) + mu * math.log(h) - sc.gammaln(2.0 * mu)),
+            2.0 * mu - 1.0,
+        )
+    if isinstance(model, KappaMuShadowed):
+        kap, mu, mf = model.kappa, model.mu, model.m_f
+        return TailParams(
+            math.exp(
+                mu * math.log(mu * (1.0 + kap)) + mf * math.log(mf)
+                - sc.gammaln(mu) - mf * math.log(mu * kap + mf)
+            ),
+            mu - 1.0,
+        )
     if isinstance(model, TWDP):
         K, D = model.k_r, model.delta
         return TailParams((1.0 + K) * math.exp(-K) * float(sc.i0(K * D)), 0.0)
-    xs = om * np.logspace(-6, -4, 12)
-    tol = Tolerance(rel_tol=1e-11, abs_tol=0.0)
-    log_f = np.empty_like(xs)
-    for idx, x0 in enumerate(xs):
-        val, _ = integrate_finite(
-            lambda t: pdf(model, x0 * t * t) * 2.0 * x0 * t, 0.0, 1.0, tol
-        )
-        log_f[idx] = math.log(val)
-    slope, intercept = np.polyfit(np.log(xs), log_f, 1)
-    beta = slope - 1.0
-    alpha = slope * math.exp(intercept + slope * math.log(om))
-    return TailParams(float(alpha), float(beta))
+    raise TypeError(f"unsupported fading model {type(model).__name__}")
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,11 @@ class Tolerance:
 
 DEFAULT_TOL = Tolerance()
 
+# side-by-side sum_series evaluates at most _SERIES_BLOCK_TERMS terms per
+# step, and up to _SERIES_MIN_WIDTH of each series wherever that fits
+_SERIES_BLOCK_TERMS = 4096
+_SERIES_MIN_WIDTH = 16
+
 
 class ConvergenceError(ArithmeticError):
     """Raised when a series or quadrature hits its budget before converging.
@@ -202,18 +207,17 @@ def _gk15(f: Callable[[np.ndarray], np.ndarray], a: float, b: float):
 
 def _integrate_periodic(f, a, b, tol: Tolerance):
     # Equally spaced rectangle rule with point doubling: spectrally accurate
-    # for smooth periodic integrands.
+    # for smooth periodic integrands. f may return an (n, ...) array of
+    # several integrands at the n points; all are refined until all converge.
     n = 16
     h = (b - a) / n
-    vals = np.asarray(f(a + h * np.arange(n)), dtype=float)
-    total = h * float(vals.sum())
+    total = h * np.asarray(f(a + h * np.arange(n)), dtype=float).sum(axis=0)
     for _ in range(tol.max_subdivisions):
         mids = a + h * (np.arange(n) + 0.5)
-        new_vals = np.asarray(f(mids), dtype=float)
-        new_total = 0.5 * total + 0.5 * h * float(new_vals.sum())
-        err = abs(new_total - total)
+        new_total = 0.5 * total + 0.5 * h * np.asarray(f(mids), dtype=float).sum(axis=0)
+        err = np.abs(new_total - total)
         total, n, h = new_total, 2 * n, 0.5 * h
-        if err <= max(tol.abs_tol, tol.rel_tol * abs(total)):
+        if np.all(err <= np.maximum(tol.abs_tol, tol.rel_tol * np.abs(total))):
             return total, err
         if n > 1 << 20:
             break
@@ -234,7 +238,9 @@ def integrate_finite(
     Adaptive Gauss-Kronrod 7/15 with worst-interval bisection. With
     periodic=True an equally spaced rule with point doubling is used
     instead, which converges exponentially for smooth periodic f.
-    f is called with an ndarray of nodes and must return matching values.
+    f is called with an ndarray of nodes and must return matching values;
+    a periodic f may return an (n, ...) array, one integrand per column,
+    and then the value and error are arrays.
     """
     if periodic:
         return _integrate_periodic(f, a, b, tol)
@@ -289,14 +295,22 @@ def integrate_semi_infinite(
 
 
 def sum_series(
-    term: Callable[[int], float],
+    term: Callable,
     tol: Tolerance = DEFAULT_TOL,
-) -> tuple[float, int]:
+    count: int | None = None,
+) -> tuple:
     """Sum term(0) + term(1) + ... with compensated (Kahan) accumulation.
 
     Stops once 3 consecutive terms each contribute relatively less than
     rel_tol; returns (partial sum, number of terms consumed).
+
+    With `count`, sums that many series side by side, a block of terms at a
+    time: term(ks, idx) returns the terms ks (an index array) of the series
+    idx, those not yet stopped, as a (len(idx), len(ks)) array. The result
+    is (array of partial sums, terms consumed by the longest series).
     """
+    if count is not None:
+        return _sum_series_blocks(term, tol, count)
     total = 0.0
     comp = 0.0
     quiet = 0
@@ -317,3 +331,57 @@ def sum_series(
         estimate=total,
         error_bound=abs(t_k) * 3,
     )
+
+
+def _sum_series_blocks(term: Callable, tol: Tolerance, count: int) -> tuple:
+    # The stop rule of sum_series, applied to each series within a block:
+    # the block is Kahan-added up to the term where that series stops. Past
+    # _SERIES_MIN_WIDTH, block widths grow by at most doubling and aim at the
+    # nearest predicted stop, so few terms are evaluated past a stop.
+    total = np.zeros(count)
+    comp = np.zeros(count)
+    quiet = np.zeros(count, dtype=int)
+    prev = np.zeros(count)
+    idx = np.arange(count)
+    k0 = longest = 0
+    need = 1
+    while idx.size:
+        width = min(max(need, _SERIES_MIN_WIDTH), max(1, _SERIES_BLOCK_TERMS // idx.size),
+                    tol.max_terms - k0)
+        pos = np.arange(width)
+        t = np.asarray(term(k0 + pos, idx), dtype=float).reshape(idx.size, width)
+        running = total[idx, None] + np.cumsum(t, axis=1)
+        small = np.abs(t) <= tol.rel_tol * np.abs(running) + tol.abs_tol
+        # length of the run of small terms ending at each position
+        last_big = np.maximum.accumulate(np.where(small, -1, pos), axis=1)
+        streak = np.where(last_big < 0, quiet[idx, None] + pos + 1, pos - last_big)
+        stop = streak >= 3
+        done = stop.any(axis=1)
+        last = np.where(done, stop.argmax(axis=1), width - 1)
+        y = np.where(pos <= last[:, None], t, 0.0).sum(axis=1) - comp[idx]
+        s = total[idx] + y
+        comp[idx] = (s - total[idx]) - y
+        total[idx] = s
+        quiet[idx] = streak[:, -1]
+        if done.any():
+            longest = max(longest, k0 + int(last[done].max()) + 1)
+        idx, t = idx[~done], t[~done]
+        k0 += width
+        if idx.size and k0 >= tol.max_terms:
+            raise ConvergenceError(
+                f"series did not converge in {tol.max_terms} terms",
+                estimate=float(total[idx[0]]),
+                error_bound=abs(float(t[0, -1])) * 3,
+            )
+        t_prev = t[:, -2] if width > 1 else prev[idx]
+        prev[idx] = t[:, -1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = t[:, -1] / t_prev
+            steps = np.log((tol.rel_tol * np.abs(total[idx]) + tol.abs_tol)
+                           / np.abs(t[:, -1])) / np.log(ratio)
+        falling = (ratio > 0) & (ratio < 1)
+        # just past its peak a series' term ratio is near 1 and still
+        # dropping, so its stop is nearer than predicted: aim half way
+        ahead = np.where(falling, np.maximum(0.5 * steps, 0.0) + 3 - quiet[idx], k0)
+        need = int(np.ceil(min(ahead.min(), k0))) if idx.size else 1
+    return total, longest

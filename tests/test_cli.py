@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from igcomposite import composite as co
 from igcomposite import shadowing as sh
-from igcomposite.cli import main
+from igcomposite.cli import _fmt, main, parse_model_config
 
 RAYLEIGH_CFG = '{"shadowing":{"m":2},"fading":{"type":"rayleigh"}}'
 TWDP_CFG = '{"shadowing":{"m":2},"fading":{"type":"twdp","k_r":2,"delta":0.3}}'
@@ -114,6 +115,36 @@ class TestOutage:
         _, rows = read_csv(out)
         lo, hi = float(rows[0][1]), float(rows[1][1])
         assert math.log10(hi / lo) == pytest.approx(1.0, abs=0.01)
+
+
+    @pytest.mark.parametrize("cfg", [
+        '{"shadowing":{"m":2.5},"fading":{"type":"rician","k_r":3}}',
+        '{"shadowing":{"m":3},"fading":{"type":"hoyt","q":0.6}}',
+    ], ids=["rician", "hoyt-integer-m"])
+    def test_sweep_is_one_call_matching_scalar_calls(self, tmp_path, monkeypatch, cfg):
+        calls = []
+
+        def recorded(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("outage", "outage_asymptotic"):
+            monkeypatch.setattr(co, name, recorded(name, getattr(co, name)))
+        out = tmp_path / "o.csv"
+        assert main(["outage", "--config", cfg, "--grid-db=-40:5:0",
+                     "--asymptotic", "--out", str(out)]) == 0
+        monkeypatch.undo()
+        assert calls == ["outage", "outage_asymptotic"]
+        model = parse_model_config(cfg)
+        _, rows = read_csv(out)
+        assert len(rows) == 9
+        for db, exact, asym in rows:
+            r = 10.0 ** (float(db) / 10.0)
+            assert float(exact) == pytest.approx(float(_fmt(co.outage(model, r, 1.0))), rel=1e-12)
+            assert float(asym) == pytest.approx(
+                float(_fmt(co.outage_asymptotic(model, r, 1.0))), rel=1e-12)
 
 
 class TestFit:

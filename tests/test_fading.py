@@ -65,6 +65,16 @@ class TestGmgf:
         brute = gmgf_quadrature(model, 3.7, -1.5)
         assert val == pytest.approx(brute, rel=1e-7)
 
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: type(m).__name__)
+    def test_log_over_arrays_matches_scalar_calls(self, model):
+        # p and s broadcast; TWDP mixes closed-form (integer) and numeric orders
+        p = np.array([[0.0], [1.0], [2.5], [3.7], [7.0]])
+        s = np.array([-0.1, -1.0, -10.0])
+        got = fa.gmgf_log(model, p, s)
+        assert got.shape == (5, 3)
+        ref = [[fa.gmgf_log(model, float(pi), float(si)) for si in s] for pi in p[:, 0]]
+        np.testing.assert_allclose(got, ref, rtol=1e-9, atol=1e-12)
+
     def test_domain(self):
         with pytest.raises(ValueError):
             fa.gmgf(fa.Rayleigh(), -0.5, -1.0)
@@ -214,6 +224,23 @@ class TestGammaMixture:
             )
             assert recon == pytest.approx(fa.pdf(model, x), abs=1e-6)
 
+    @pytest.mark.parametrize("model", [
+        fa.Rayleigh(1.3),
+        fa.NakagamiM(2.2, omega_x=0.7),
+        fa.Rician(4.0),
+        fa.KappaMu(2.0, 1.5, omega_x=2.0),
+        fa.KappaMuShadowed(5.0, 2.0, 3.0),
+        fa.TWDP(4.0, 0.9, omega_x=0.6),
+    ], ids=lambda m: type(m).__name__)
+    def test_shapes_step_by_one_with_common_scale(self, model):
+        # composite's mixture CDF walks down the components by the
+        # incomplete-beta recurrence, which needs exactly this structure
+        mix = fa.gamma_mixture(model)
+        shapes = np.array([t.shape for t in mix.terms])
+        scales = np.array([t.omega / t.shape for t in mix.terms])
+        np.testing.assert_allclose(np.diff(shapes), 1.0, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(scales, scales[0], rtol=1e-14)
+
     def test_unsupported(self):
         with pytest.raises(ValueError):
             fa.gamma_mixture(fa.Hoyt(0.5))
@@ -254,6 +281,26 @@ class TestTailParams:
     def test_numeric_kappa_mu(self):
         tp = fa.tail_params(fa.KappaMu(2.0, 1.5))
         assert tp.beta == pytest.approx(0.5, abs=1e-3)
+
+    @pytest.mark.parametrize("model", [
+        fa.Rayleigh(1.3),
+        fa.Rician(4.0, omega_x=0.5),
+        fa.NakagamiM(2.3, omega_x=1.7),
+        fa.Hoyt(0.3, omega_x=2.0),
+        fa.KappaMu(2.0, 1.5, omega_x=0.7),
+        fa.KappaMu(0.0, 2.5),
+        fa.EtaMu(0.4, 1.2, omega_x=1.3),
+        fa.EtaMu(1.0, 0.8),
+        fa.KappaMuShadowed(2.0, 1.5, 3.0, omega_x=0.9),
+        fa.KappaMuShadowed(0.0, 1.5, 2.0),
+        fa.TWDP(4.0, 0.9, omega_x=1.1),
+    ], ids=lambda m: type(m).__name__)
+    def test_pdf_limit_at_origin(self, model):
+        tp = fa.tail_params(model)
+        om = model.omega_x
+        for x in (1e-9 * om, 1e-11 * om):
+            law = (tp.alpha / om) * (x / om) ** tp.beta
+            assert fa.pdf(model, x) / law == pytest.approx(1.0, abs=1e-7)
 
 
 class TestSampling:

@@ -250,3 +250,25 @@ class TestSumSeries:
         tol = nm.Tolerance(max_terms=50)
         with pytest.raises(nm.ConvergenceError):
             nm.sum_series(lambda k: 1.0, tol)
+
+    def test_side_by_side_matches_one_at_a_time(self):
+        ratios = np.array([0.0, 0.1, 0.5, 0.9, 0.99, 0.995, 0.997])
+        scales = np.array([1.0, 3.0, 1e-3, 2.0, 1.0, 0.5, 7.0])
+
+        def terms(ks, idx):
+            return scales[idx, None] * ratios[idx, None] ** ks
+
+        totals, longest = nm.sum_series(terms, count=ratios.size)
+        singles = [nm.sum_series(lambda k, r=r, c=c: c * r**k) for r, c in zip(ratios, scales)]
+        np.testing.assert_allclose(totals, [t for t, _ in singles], rtol=1e-14, atol=0.0)
+        assert longest == max(n for _, n in singles)
+
+    def test_side_by_side_nonconvergence(self):
+        tol = nm.Tolerance(max_terms=200)
+        ratios = np.array([0.5, 1.0, 0.9])
+        with pytest.raises(nm.ConvergenceError):
+            nm.sum_series(lambda ks, idx: ratios[idx, None] ** ks, tol, ratios.size)
+
+    def test_side_by_side_empty(self):
+        totals, longest = nm.sum_series(lambda ks, idx: np.ones((idx.size, ks.size)), count=0)
+        assert totals.shape == (0,) and longest == 0

@@ -29,12 +29,14 @@ import numpy as np
 import scipy.special as sc
 
 from . import fading
-from .numerics import (
+# sum_series is unused here but stays a module attribute: bench/layertrace.py
+# times the series through it
+from .numerics import (  # noqa: F401
     DEFAULT_TOL,
-    ConvergenceError,
     Tolerance,
     integrate_semi_infinite,
     sum_series,
+    sum_series_blocks,
 )
 
 __all__ = [
@@ -299,43 +301,19 @@ def _cdf_series(model: CompositeModel, u: np.ndarray, tol: Tolerance) -> np.ndar
     s = (1.0 - m) * wb / u
     ln_r = np.log((m - 1.0) * wb / u)
 
-    def ln_term(q, ln_r, s):
-        return q * ln_r - sc.gammaln(q + 1.0) + fading.gmgf_log(model.baseline, q, s, tol)
+    def terms(ns: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        q = m + ns
+        ln_t = q * ln_r[idx, None] - sc.gammaln(q + 1.0) \
+            + fading.gmgf_log(model.baseline, q, s[idx, None], tol)
+        return np.where(ln_t < -745.0, 0.0, np.exp(ln_t))  # NaN stays NaN
 
-    def lost_precision() -> ConvergenceError:  # far out in p the GMGF turns NaN
-        return ConvergenceError(
-            f"{type(model.baseline).__name__} GMGF lost all precision in the series "
-            f"at m = {m}", estimate=math.nan, error_bound=math.inf,
-        )
-
-    if isinstance(model.baseline, fading.TWDP) and model.integer_m:
-        # at integer orders TWDP's GMGF is a closed form evaluated point by
-        # point: side-by-side series would save nothing and pay for the
-        # terms a block runs past a stop
-        def point(r: float, x: float) -> float:
-            def term(n: int) -> float:
-                ln_t = ln_term(m + n, r, x)
-                if math.isnan(ln_t):
-                    raise lost_precision()
-                return math.exp(ln_t) if ln_t > -745.0 else 0.0
-
-            return sum_series(term, tol)[0]
-
-        total = np.array([point(r, x) for r, x in zip(ln_r.tolist(), s.tolist())])
-    else:
-        def terms(ns: np.ndarray, idx: np.ndarray) -> np.ndarray:
-            ln_t = ln_term(m + ns, ln_r[idx, None], s[idx, None])
-            if np.isnan(ln_t).any():
-                raise lost_precision()
-            return np.where(ln_t > -745.0, np.exp(ln_t), 0.0)
-
-        # the smallest u needs the most terms: sum its series first, so one
-        # that cannot converge raises before the others are summed
-        head = int(np.argmin(u))
-        rest = np.delete(np.arange(u.size), head)
-        total = np.empty(u.size)
-        total[[head]], _ = sum_series(lambda ns, idx: terms(ns, idx + head), tol, 1)
-        total[rest], _ = sum_series(lambda ns, idx: terms(ns, rest[idx]), tol, rest.size)
+    # the smallest u needs the most terms: sum its series first, so one
+    # that cannot converge raises before the others are summed
+    head = int(np.argmin(u))
+    rest = np.delete(np.arange(u.size), head)
+    total = np.empty(u.size)
+    total[[head]], _ = sum_series_blocks(lambda ns, idx: terms(ns, idx + head), tol, 1)
+    total[rest], _ = sum_series_blocks(lambda ns, idx: terms(ns, rest[idx]), tol, rest.size)
     return 1.0 - total
 
 

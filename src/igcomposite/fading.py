@@ -341,7 +341,8 @@ def gmgf_log(model: FadingModel, p, s, tol: Tolerance = DEFAULT_TOL):
     single periodic integral (the Laplace transform of the Bessel kernel in
     the integral-form PDF reduces the defining double integral to one over
     the phase angle), shared by all (p, s) pairs. TWDP's integer-order
-    closed form evaluates point by point.
+    closed form shares its 1F2 brackets across the orders of each s, and
+    gives NaN where its signed sum has lost all precision.
     """
     p, arr = np.asarray(p, dtype=float), np.asarray(s, dtype=float)
     om = model.omega_x
@@ -443,9 +444,8 @@ def gmgf_log(model: FadingModel, p, s, tol: Tolerance = DEFAULT_TOL):
         p_int = np.round(p)
         closed = (np.abs(p - p_int) < _INTEGER_EPS) & (p_int <= _EQ37_MAX_P)
         out = np.empty(p.shape)
-        if closed.any():  # integer orders: the closed form, point by point
-            out[closed] = [_twdp_gmgf_closed_log(int(q), float(v), model)
-                           for q, v in zip(p_int[closed], arr[closed])]
+        if closed.any():
+            out[closed] = _twdp_gmgf_closed_log(p_int[closed], arr[closed], model)
         if not closed.all():
             out[~closed] = _twdp_gmgf_numeric_log(p[~closed], arr[~closed], model, tol)
     else:
@@ -459,64 +459,71 @@ def gmgf(model: FadingModel, p: float, s: float, tol: Tolerance = DEFAULT_TOL) -
         raise ValueError(f"gmgf: p must be >= 0, got {p}")
     if not s <= 0:
         raise ValueError(f"gmgf: s must be <= 0, got {s}")
-    return math.exp(gmgf_log(model, p, s, tol))
-
-
-def _twdp_gmgf_closed_log(p: int, s: float, model: TWDP) -> float:
-    """ln of the integer-order TWDP GMGF closed form (double finite sum of
-    beta-weighted 1F2 terms). Outer magnitudes are assembled in log space;
-    the signed inner phase sums stay linear."""
-    K, D, om = model.k_r, model.delta, model.omega_x
-    s_om = s * om
-    den = K + 1.0 - s_om
-    zeta = K * D * s_om / den
-    z4 = 0.25 * zeta * zeta
-
-    half = 0.5
-    brackets = np.empty(p + 1)
-    for j in range(p + 1):
-        if j % 2 == 0:
-            brackets[j] = (
-                2.0
-                * sc.beta((j + 1) * half, half)
-                * hyp1f2((j + 1) * half, half, (j + 2) * half, z4)
-            )
-        else:
-            brackets[j] = (
-                2.0
-                * zeta
-                * sc.beta((j + 2) * half, half)
-                * hyp1f2((j + 2) * half, 1.5, (j + 3) * half, z4)
-            )
-
-    ln_mag = np.empty(p + 1)
-    signed = np.empty(p + 1)
-    ln_fact_p = sc.gammaln(p + 1.0)
-    ln_den = math.log(den)
-    ln_k1 = math.log(K + 1.0)
-    ln_k = math.log(K)
-    for q in range(p + 1):
-        inner = 0.0
-        b = 1.0  # running C(q, j) * D^j
-        for j in range(q + 1):
-            inner += 0.5 * b * brackets[j]
-            b *= (q - j) / (j + 1.0) * D
-        ln_mag[q] = (
-            2.0 * ln_fact_p
-            - 2.0 * sc.gammaln(q + 1.0)
-            - sc.gammaln(p - q + 1.0)
-            + q * ln_k
-            + (q + 1.0) * ln_k1
-            - (p + q + 1.0) * ln_den
-        )
-        signed[q] = inner
-    m_ref = float(np.max(ln_mag + np.log(np.abs(signed) + 1e-300)))
-    total = float(np.sum(np.sign(signed) * np.exp(ln_mag + np.log(np.abs(signed) + 1e-300) - m_ref)))
-    if not total > 0:
+    ln_phi = gmgf_log(model, p, s, tol)
+    if math.isnan(ln_phi):
         raise ConvergenceError(
-            "TWDP closed-form GMGF lost all precision", estimate=0.0, error_bound=math.inf
+            f"{type(model).__name__} GMGF lost all precision at p = {p}",
+            estimate=math.nan, error_bound=math.inf,
         )
-    return p * math.log(om) - math.log(math.pi) + K * s_om / den + m_ref + math.log(total)
+    return math.exp(ln_phi)
+
+
+def _twdp_gmgf_closed_log(p: np.ndarray, s: np.ndarray, model: TWDP) -> np.ndarray:
+    """ln of the integer-order TWDP GMGF closed form (double finite sum of
+    beta-weighted 1F2 terms) at the 1-D integer orders p and arguments s.
+
+    The 1F2 brackets and the signed inner phase sums depend on s alone, so
+    each distinct s computes them once, up to its highest order. Outer
+    magnitudes are assembled in log space; the inner sums stay linear. An
+    order whose sum cancels to <= 0 has lost all precision and gives NaN.
+    """
+    K, D, om = model.k_r, model.delta, model.omega_x
+    ln_k1, ln_k = math.log(K + 1.0), math.log(K)
+    half = 0.5
+    out = np.empty(p.shape)
+    values, which = np.unique(s, return_inverse=True)
+    for i, v in enumerate(values.tolist()):
+        sel = which == i
+        ps = p[sel]
+        top = int(ps.max())
+        s_om = v * om
+        den = K + 1.0 - s_om
+        zeta = K * D * s_om / den
+        z4 = 0.25 * zeta * zeta
+        brackets = [
+            2.0 * sc.beta((j + 1) * half, half)
+            * hyp1f2((j + 1) * half, half, (j + 2) * half, z4)
+            if j % 2 == 0 else
+            2.0 * zeta * sc.beta((j + 2) * half, half)
+            * hyp1f2((j + 2) * half, 1.5, (j + 3) * half, z4)
+            for j in range(top + 1)
+        ]
+        q = np.arange(top + 1.0)
+        signed = np.zeros(top + 1)
+        b = np.ones(top + 1)  # running C(q, j) * D^j, 0 once j > q
+        for j in range(top + 1):
+            signed += 0.5 * b * brackets[j]
+            b *= (q - j) / (j + 1.0) * D
+        pp = ps[:, None]
+        with np.errstate(invalid="ignore"):
+            ln_mag = (
+                2.0 * sc.gammaln(pp + 1.0)
+                - 2.0 * sc.gammaln(q + 1.0)
+                - sc.gammaln(pp - q + 1.0)
+                + q * ln_k
+                + (q + 1.0) * ln_k1
+                - (pp + q + 1.0) * math.log(den)
+            )
+        ln_abs = np.where(q <= pp, ln_mag + np.log(np.abs(signed) + 1e-300), -np.inf)
+        m_ref = ln_abs.max(axis=1)
+        total = np.sum(np.sign(signed) * np.exp(ln_abs - m_ref[:, None]), axis=1)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            out[sel] = np.where(
+                total > 0,
+                ps * math.log(om) - math.log(math.pi) + K * s_om / den + m_ref + np.log(total),
+                np.nan,
+            )
+    return out
 
 
 def _twdp_gmgf_numeric_log(p: np.ndarray, s: np.ndarray, model: TWDP,

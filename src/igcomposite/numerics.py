@@ -29,6 +29,7 @@ __all__ = [
     "integrate_finite",
     "integrate_semi_infinite",
     "sum_series",
+    "sum_series_blocks",
 ]
 
 
@@ -56,7 +57,7 @@ class Tolerance:
 
 DEFAULT_TOL = Tolerance()
 
-# side-by-side sum_series evaluates at most _SERIES_BLOCK_TERMS terms per
+# sum_series_blocks evaluates at most _SERIES_BLOCK_TERMS terms per
 # step, and up to _SERIES_MIN_WIDTH of each series wherever that fits
 _SERIES_BLOCK_TERMS = 4096
 _SERIES_MIN_WIDTH = 16
@@ -295,22 +296,14 @@ def integrate_semi_infinite(
 
 
 def sum_series(
-    term: Callable,
+    term: Callable[[int], float],
     tol: Tolerance = DEFAULT_TOL,
-    count: int | None = None,
-) -> tuple:
+) -> tuple[float, int]:
     """Sum term(0) + term(1) + ... with compensated (Kahan) accumulation.
 
     Stops once 3 consecutive terms each contribute relatively less than
     rel_tol; returns (partial sum, number of terms consumed).
-
-    With `count`, sums that many series side by side, a block of terms at a
-    time: term(ks, idx) returns the terms ks (an index array) of the series
-    idx, those not yet stopped, as a (len(idx), len(ks)) array. The result
-    is (array of partial sums, terms consumed by the longest series).
     """
-    if count is not None:
-        return _sum_series_blocks(term, tol, count)
     total = 0.0
     comp = 0.0
     quiet = 0
@@ -333,9 +326,20 @@ def sum_series(
     )
 
 
-def _sum_series_blocks(term: Callable, tol: Tolerance, count: int) -> tuple:
-    # The stop rule of sum_series, applied to each series within a block:
-    # the block is Kahan-added up to the term where that series stops. Past
+def sum_series_blocks(
+    term: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    tol: Tolerance = DEFAULT_TOL,
+    count: int = 1,
+) -> tuple[np.ndarray, int]:
+    """Sum `count` series side by side, a block of terms at a time.
+
+    term(ks, idx) returns the terms ks (an index array) of the series idx,
+    those not yet stopped, as a (len(idx), len(ks)) array. Each series stops
+    by the rule of `sum_series`; a NaN term at or before its stop raises
+    ConvergenceError, one past its stop is never summed. Returns (array of
+    partial sums, terms consumed by the longest series).
+    """
+    # Each block is Kahan-added up to the term where the series stops. Past
     # _SERIES_MIN_WIDTH, block widths grow by at most doubling and aim at the
     # nearest predicted stop, so few terms are evaluated past a stop.
     total = np.zeros(count)
@@ -358,6 +362,14 @@ def _sum_series_blocks(term: Callable, tol: Tolerance, count: int) -> tuple:
         stop = streak >= 3
         done = stop.any(axis=1)
         last = np.where(done, stop.argmax(axis=1), width - 1)
+        # a NaN term makes every later term of its row count as large, so
+        # it lies before the stop only in a series that has not stopped
+        lost = np.isnan(t) & (pos <= last[:, None])
+        if lost.any():
+            col = np.argwhere(lost)[0, 1]
+            raise ConvergenceError(
+                f"series term {k0 + col} is NaN", estimate=math.nan, error_bound=math.inf
+            )
         y = np.where(pos <= last[:, None], t, 0.0).sum(axis=1) - comp[idx]
         s = total[idx] + y
         comp[idx] = (s - total[idx]) - y

@@ -8,6 +8,7 @@ from scipy.integrate import quad
 
 from igcomposite import fading as fa
 from igcomposite import montecarlo as mc
+from igcomposite import numerics as nm
 
 from oracles import gmgf_quadrature, oracle_pdf, pdf_twdp
 
@@ -41,6 +42,32 @@ class TestValidation:
             fa.TWDP(k_r=1.0, delta=1.0001)
 
 
+def twdp_closed_log_by_order(model, p, s):
+    """Loop reference for the integer-order TWDP GMGF: the closed form at one
+    (p, s), its 1F2 brackets and phase sums rebuilt for every order."""
+    K, D, om = model.k_r, model.delta, model.omega_x
+    den = K + 1.0 - s * om
+    zeta = K * D * s * om / den
+    z4 = 0.25 * zeta * zeta
+    brackets = []
+    for j in range(p + 1):
+        if j % 2 == 0:
+            a, b, scale = (j + 1) / 2, 0.5, 2.0
+        else:
+            a, b, scale = (j + 2) / 2, 1.5, 2.0 * zeta
+        brackets.append(scale * sc.beta(a, 0.5) * nm.hyp1f2(a, b, a + 0.5, z4))
+    ln_abs, signs = [], []
+    for q in range(p + 1):
+        inner = sum(0.5 * math.comb(q, j) * D**j * brackets[j] for j in range(q + 1))
+        ln_abs.append(2.0 * sc.gammaln(p + 1.0) - 2.0 * sc.gammaln(q + 1.0)
+                      - sc.gammaln(p - q + 1.0) + q * math.log(K) + (q + 1.0) * math.log(K + 1.0)
+                      - (p + q + 1.0) * math.log(den) + math.log(abs(inner)))
+        signs.append(math.copysign(1.0, inner))
+    ref = max(ln_abs)
+    total = sum(sg * math.exp(v - ref) for sg, v in zip(signs, ln_abs))
+    return p * math.log(om) - math.log(math.pi) + K * s * om / den + ref + math.log(total)
+
+
 class TestGmgf:
     def test_trivial_examples(self):
         assert fa.gmgf(fa.Rayleigh(), 1.0, 0.0) == pytest.approx(1.0, rel=1e-12)
@@ -58,6 +85,25 @@ class TestGmgf:
         val = fa.gmgf(model, 2.0, -1.5)
         brute = gmgf_quadrature(model, 2.0, -1.5)
         assert val == pytest.approx(brute, rel=1e-7)
+
+    def test_twdp_closed_form_over_orders_matches_loop(self):
+        # one (orders x points) block, as the transform CDF series asks for
+        model = fa.TWDP(k_r=4.0, delta=0.9)
+        p = np.arange(3.0, 43.0)[None, :]
+        s = np.array([[-0.2], [-3.0], [-40.0], [-3.0]])
+        got = fa.gmgf_log(model, p, s)
+        ref = [[twdp_closed_log_by_order(model, int(pi), float(si)) for pi in p[0]]
+               for si in s[:, 0]]
+        np.testing.assert_allclose(got, ref, rtol=1e-11)
+
+    def test_twdp_lost_precision(self):
+        # the closed form cancels to <= 0 here: gmgf_log gives NaN, so a
+        # series can tell a term past its stop from one it needs; gmgf raises
+        model = fa.TWDP(k_r=30.0, delta=1.0)
+        assert math.isnan(fa.gmgf_log(model, 32.0, -100.0))
+        assert math.isfinite(fa.gmgf_log(model, 4.0, -100.0))
+        with pytest.raises(nm.ConvergenceError):
+            fa.gmgf(model, 32.0, -100.0)
 
     def test_twdp_real_p_fallback(self):
         model = fa.TWDP(k_r=4.0, delta=0.9)

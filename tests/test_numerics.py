@@ -258,7 +258,7 @@ class TestSumSeries:
         def terms(ks, idx):
             return scales[idx, None] * ratios[idx, None] ** ks
 
-        totals, longest = nm.sum_series(terms, count=ratios.size)
+        totals, longest = nm.sum_series_blocks(terms, count=ratios.size)
         singles = [nm.sum_series(lambda k, r=r, c=c: c * r**k) for r, c in zip(ratios, scales)]
         np.testing.assert_allclose(totals, [t for t, _ in singles], rtol=1e-14, atol=0.0)
         assert longest == max(n for _, n in singles)
@@ -267,8 +267,29 @@ class TestSumSeries:
         tol = nm.Tolerance(max_terms=200)
         ratios = np.array([0.5, 1.0, 0.9])
         with pytest.raises(nm.ConvergenceError):
-            nm.sum_series(lambda ks, idx: ratios[idx, None] ** ks, tol, ratios.size)
+            nm.sum_series_blocks(lambda ks, idx: ratios[idx, None] ** ks, tol, ratios.size)
+
+    @pytest.mark.parametrize("width", [1, 16, 64])
+    def test_nan_past_the_stop_is_never_summed(self, width, monkeypatch):
+        # blocks run past a stop; a series whose terms turn NaN just after
+        # its stop still sums as one summed term by term
+        ref, n = nm.sum_series(lambda k: 0.5**k)
+
+        def terms(ks, idx):
+            return np.where(ks < n, 0.5**ks, np.nan) * np.ones((idx.size, 1))
+
+        monkeypatch.setattr(nm, "_SERIES_MIN_WIDTH", width)
+        totals, longest = nm.sum_series_blocks(terms, count=3)
+        np.testing.assert_allclose(totals, ref, rtol=1e-15)
+        assert longest == n
+
+    def test_nan_before_the_stop_raises(self):
+        _, n = nm.sum_series(lambda k: 0.5**k)
+        with pytest.raises(nm.ConvergenceError):
+            nm.sum_series_blocks(lambda ks, idx: np.where(ks < n - 1, 0.5**ks, np.nan)
+                                 * np.ones((idx.size, 1)), count=2)
 
     def test_side_by_side_empty(self):
-        totals, longest = nm.sum_series(lambda ks, idx: np.ones((idx.size, ks.size)), count=0)
+        totals, longest = nm.sum_series_blocks(lambda ks, idx: np.ones((idx.size, ks.size)),
+                                               count=0)
         assert totals.shape == (0,) and longest == 0

@@ -14,7 +14,6 @@ power w_bar. PDF/CDF/outage evaluate through three interchangeable routes:
   function's argument and step their shape by 1, so a downward recurrence
   of positive terms gives the rest.
 
-A slow direct-averaging quadrature route is kept as a numeric oracle.
 Outage and its asymptote are vectorized over the threshold, so a sweep is
 one call.
 """
@@ -29,8 +28,9 @@ import numpy as np
 import scipy.special as sc
 
 from . import fading
-# sum_series is unused here but stays a module attribute: bench/layertrace.py
-# times the series through it
+# sum_series and integrate_semi_infinite are unused here but stay module
+# attributes: bench/layertrace.py wraps both by name and fails to install
+# without them
 from .numerics import (  # noqa: F401
     DEFAULT_TOL,
     Tolerance,
@@ -64,7 +64,6 @@ class Strategy(enum.Enum):
     GMGF_GENERAL = "gmgf-general"
     GMGF_INTEGER = "gmgf-integer"
     MIXTURE = "mixture"
-    NUMERIC_ORACLE = "numeric-oracle"
 
 
 _frozen = dataclasses.dataclass(frozen=True)
@@ -188,16 +187,6 @@ def _resolve(model: CompositeModel, strategy: Strategy) -> Strategy:
     return strategy
 
 
-def _inv_shadow_pdf(m: float, t: np.ndarray) -> np.ndarray:
-    # pdf of 1/xi when xi is unit-mean inverse gamma: gamma(m, rate m-1)
-    return np.exp(
-        m * math.log(m - 1.0)
-        + (m - 1.0) * np.log(t)
-        - (m - 1.0) * t
-        - sc.gammaln(m)
-    )
-
-
 def composite_pdf(
     model: CompositeModel,
     u,
@@ -213,10 +202,6 @@ def composite_pdf(
             t.weight * np.asarray(f_pdf(t.params, arr)) for t in mix.terms
         )
         return _maybe_scalar(np.asarray(out), u)
-    if strat is Strategy.NUMERIC_ORACLE:
-        flat = np.atleast_1d(arr)
-        out = np.array([_pdf_numeric(model, x, tol) for x in flat]).reshape(arr.shape)
-        return _maybe_scalar(out, u)
     m, wb = model.m, model.w_bar
     m_eval = float(round(m)) if strat is Strategy.GMGF_INTEGER else m
     base = m_eval * math.log(wb * (m_eval - 1.0)) - sc.gammaln(m_eval)
@@ -229,18 +214,6 @@ def composite_pdf(
     )
     vals[live] = np.where(ln_f > -745.0, np.exp(ln_f), 0.0)
     return _maybe_scalar(vals.reshape(arr.shape), u)
-
-
-def _pdf_numeric(model: CompositeModel, u: float, tol: Tolerance) -> float:
-    wb, m = model.w_bar, model.m
-
-    def integrand(t: np.ndarray) -> np.ndarray:
-        t = np.maximum(t, 1e-300)
-        return (t / wb) * fading.pdf(model.baseline, np.maximum(u * t / wb, 1e-300)) \
-            * _inv_shadow_pdf(m, t)
-
-    val, _ = integrate_semi_infinite(integrand, tol)
-    return val
 
 
 def composite_cdf(
@@ -257,14 +230,11 @@ def composite_cdf(
         out = mix.prefactor * _f_mixture_cdf(mix.terms, arr)
         return _maybe_scalar(np.clip(out, 0.0, 1.0), u)
     flat = np.atleast_1d(arr)
-    if strat is Strategy.NUMERIC_ORACLE:
-        vals = np.array([_cdf_numeric(model, x, tol) for x in flat])
-    else:
-        vals = np.zeros(flat.shape)
-        live = flat >= 1e-300  # the CDF is 0 to float precision below
-        route = _cdf_integer if strat is Strategy.GMGF_INTEGER else _cdf_series
-        if live.any():
-            vals[live] = route(model, flat[live], tol)
+    vals = np.zeros(flat.shape)
+    live = flat >= 1e-300  # the CDF is 0 to float precision below
+    route = _cdf_integer if strat is Strategy.GMGF_INTEGER else _cdf_series
+    if live.any():
+        vals[live] = route(model, flat[live], tol)
     return _maybe_scalar(np.clip(vals.reshape(arr.shape), 0.0, 1.0), u)
 
 
@@ -329,19 +299,6 @@ def _cdf_integer(model: CompositeModel, u: np.ndarray, tol: Tolerance) -> np.nda
         )
         total += np.where(ln_t > -745.0, np.exp(ln_t), 0.0)
     return total
-
-
-def _cdf_numeric(model: CompositeModel, u: float, tol: Tolerance) -> float:
-    # direct averaging: F_W(u) equals the reciprocal-shadowing gamma CDF
-    # complement integrated against the baseline pdf
-    wb, m = model.w_bar, model.m
-
-    def integrand(y: np.ndarray) -> np.ndarray:
-        y = np.maximum(y, 1e-300)
-        return sc.gammaincc(m, (m - 1.0) * wb * y / u) * fading.pdf(model.baseline, y)
-
-    val, _ = integrate_semi_infinite(integrand, tol)
-    return val
 
 
 def amplitude_pdf(model, r, strategy=Strategy.AUTO, tol=DEFAULT_TOL):

@@ -1,10 +1,11 @@
 """Baseline fast-fading models of the received signal power.
 
 Each model exposes: a PDF, a generalized MGF phi^(p)(s) = E[X^p e^{sX}]
-(closed forms where known, numeric reduction otherwise), a gamma-mixture
-representation where one exists, small-argument CDF power-law parameters,
-and a physically constructed sampler. All power variables carry mean
-omega_x; evaluations are pure functions.
+(a closed form for every model but TWDP, whose GMGF is one periodic
+integral over the phase angle), a gamma-mixture representation where one
+exists, small-argument CDF power-law parameters, and a physically
+constructed sampler. All power variables carry mean omega_x; evaluations
+are pure functions.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ from typing import Union
 import numpy as np
 import scipy.special as sc
 
-from .numerics import (
+# hyp1f2 is unused here but stays a module attribute: bench/layertrace.py
+# wraps fading.hyp1f2 by name and fails to install without it
+from .numerics import (  # noqa: F401
     DEFAULT_TOL,
     ConvergenceError,
     Tolerance,
@@ -46,9 +49,6 @@ __all__ = [
     "draw",
     "MIXTURE_MODELS",
 ]
-
-_INTEGER_EPS = 1e-9
-_EQ37_MAX_P = 150  # factorial-style outer terms stay in range up to here
 
 
 @dataclass(frozen=True)
@@ -337,12 +337,10 @@ def gmgf_log(model: FadingModel, p, s, tol: Tolerance = DEFAULT_TOL):
     """ln phi^(p)(s) for p >= 0, s <= 0; vectorized over p and s, which
     broadcast together.
 
-    Closed forms for every model except TWDP at non-integer p, which uses a
-    single periodic integral (the Laplace transform of the Bessel kernel in
+    Closed forms for every model except TWDP, which uses a single periodic
+    integral at every order (the Laplace transform of the Bessel kernel in
     the integral-form PDF reduces the defining double integral to one over
-    the phase angle), shared by all (p, s) pairs. TWDP's integer-order
-    closed form shares its 1F2 brackets across the orders of each s, and
-    gives NaN where its signed sum has lost all precision.
+    the phase angle); all (p, s) pairs share its phase grid.
     """
     p, arr = np.asarray(p, dtype=float), np.asarray(s, dtype=float)
     om = model.omega_x
@@ -440,14 +438,7 @@ def gmgf_log(model: FadingModel, p, s, tol: Tolerance = DEFAULT_TOL):
     elif isinstance(model, TWDP):
         if model.k_r == 0:
             return gmgf_log(Rayleigh(om), p, s)
-        p, arr = np.broadcast_arrays(p, arr)
-        p_int = np.round(p)
-        closed = (np.abs(p - p_int) < _INTEGER_EPS) & (p_int <= _EQ37_MAX_P)
-        out = np.empty(p.shape)
-        if closed.any():
-            out[closed] = _twdp_gmgf_closed_log(p_int[closed], arr[closed], model)
-        if not closed.all():
-            out[~closed] = _twdp_gmgf_numeric_log(p[~closed], arr[~closed], model, tol)
+        out = _twdp_gmgf_log(p, arr, model, tol)
     else:
         raise TypeError(f"unsupported fading model {type(model).__name__}")
     return float(out) if out.ndim == 0 else out
@@ -468,74 +459,17 @@ def gmgf(model: FadingModel, p: float, s: float, tol: Tolerance = DEFAULT_TOL) -
     return math.exp(ln_phi)
 
 
-def _twdp_gmgf_closed_log(p: np.ndarray, s: np.ndarray, model: TWDP) -> np.ndarray:
-    """ln of the integer-order TWDP GMGF closed form (double finite sum of
-    beta-weighted 1F2 terms) at the 1-D integer orders p and arguments s.
-
-    The 1F2 brackets and the signed inner phase sums depend on s alone, so
-    each distinct s computes them once, up to its highest order. Outer
-    magnitudes are assembled in log space; the inner sums stay linear. An
-    order whose sum cancels to <= 0 has lost all precision and gives NaN.
-    """
+def _twdp_gmgf_log(p: np.ndarray, s: np.ndarray, model: TWDP,
+                   tol: Tolerance) -> np.ndarray:
+    """ln phi^(p)(s) for TWDP via one periodic integral per (p, s) pair of
+    the broadcast p and s; the pairs share the phase grid."""
     K, D, om = model.k_r, model.delta, model.omega_x
-    ln_k1, ln_k = math.log(K + 1.0), math.log(K)
-    half = 0.5
-    out = np.empty(p.shape)
-    values, which = np.unique(s, return_inverse=True)
-    for i, v in enumerate(values.tolist()):
-        sel = which == i
-        ps = p[sel]
-        top = int(ps.max())
-        s_om = v * om
-        den = K + 1.0 - s_om
-        zeta = K * D * s_om / den
-        z4 = 0.25 * zeta * zeta
-        brackets = [
-            2.0 * sc.beta((j + 1) * half, half)
-            * hyp1f2((j + 1) * half, half, (j + 2) * half, z4)
-            if j % 2 == 0 else
-            2.0 * zeta * sc.beta((j + 2) * half, half)
-            * hyp1f2((j + 2) * half, 1.5, (j + 3) * half, z4)
-            for j in range(top + 1)
-        ]
-        q = np.arange(top + 1.0)
-        signed = np.zeros(top + 1)
-        b = np.ones(top + 1)  # running C(q, j) * D^j, 0 once j > q
-        for j in range(top + 1):
-            signed += 0.5 * b * brackets[j]
-            b *= (q - j) / (j + 1.0) * D
-        pp = ps[:, None]
-        with np.errstate(invalid="ignore"):
-            ln_mag = (
-                2.0 * sc.gammaln(pp + 1.0)
-                - 2.0 * sc.gammaln(q + 1.0)
-                - sc.gammaln(pp - q + 1.0)
-                + q * ln_k
-                + (q + 1.0) * ln_k1
-                - (pp + q + 1.0) * math.log(den)
-            )
-        ln_abs = np.where(q <= pp, ln_mag + np.log(np.abs(signed) + 1e-300), -np.inf)
-        m_ref = ln_abs.max(axis=1)
-        total = np.sum(np.sign(signed) * np.exp(ln_abs - m_ref[:, None]), axis=1)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out[sel] = np.where(
-                total > 0,
-                ps * math.log(om) - math.log(math.pi) + K * s_om / den + m_ref + np.log(total),
-                np.nan,
-            )
-    return out
-
-
-def _twdp_gmgf_numeric_log(p: np.ndarray, s: np.ndarray, model: TWDP,
-                           tol: Tolerance) -> np.ndarray:
-    """ln phi^(p)(s) for TWDP at real p via one periodic integral per
-    (p, s) pair; the pairs share the phase grid."""
-    K, D, om = model.k_r, model.delta, model.omega_x
+    p, s = np.broadcast_arrays(p, s)
     den = 1.0 + K - s * om
     c = K * (1.0 + K) / den
 
     def integrand(alpha: np.ndarray) -> np.ndarray:
-        cos = np.cos(alpha)[:, None]
+        cos = np.cos(alpha).reshape((-1,) + (1,) * p.ndim)
         return np.exp(-K * D * cos) * sc.hyp1f1(p + 1.0, 1.0, c * (1.0 + D * cos))
 
     val, _ = integrate_finite(integrand, 0.0, 2.0 * math.pi, tol, periodic=True)

@@ -11,14 +11,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 import scipy.special as sc
 from scipy.optimize import minimize, minimize_scalar
 
 from . import shadowing
-from .montecarlo import EmpiricalCdf
+
+if TYPE_CHECKING:
+    from .montecarlo import EmpiricalCdf
 
 __all__ = [
     "FitResult",
@@ -101,8 +103,8 @@ class _CvmQuadrature:
         self.weights = np.concatenate(weights)
         self.levels = np.concatenate(levels)
 
-    def evaluate(self, theory: Callable[[np.ndarray], np.ndarray]) -> float:
-        resid = self.levels - np.asarray(theory(self.nodes), dtype=float)
+    def evaluate(self, theory_at_nodes: np.ndarray) -> float:
+        resid = self.levels - np.asarray(theory_at_nodes, dtype=float)
         return float(np.dot(self.weights, resid * resid))
 
 
@@ -112,7 +114,8 @@ def cvm_statistic(
     support_pad: float = 5.0,
 ) -> float:
     """Integrated squared eCDF-vs-theory discrepancy over the padded support."""
-    return _CvmQuadrature(ecdf, support_pad).evaluate(theory)
+    quad = _CvmQuadrature(ecdf, support_pad)
+    return quad.evaluate(theory(quad.nodes))
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +244,7 @@ def fit(
 
     def objective(coords) -> float:
         model = fam.make(coords)
-        return quad.evaluate(lambda t: shadowing.log_domain_cdf(model, t))
+        return quad.evaluate(shadowing.log_domain_cdf(model, quad.nodes))
 
     base = fam.start(*_log_moments(ecdf))
     starts = [
@@ -277,7 +280,7 @@ def fit(
         for m_c in candidates:
             def obj_omega(c1: float) -> float:
                 model = shadowing.InverseGamma(m=float(m_c), omega_i=math.exp(c1))
-                return quad.evaluate(lambda t: shadowing.log_domain_cdf(model, t))
+                return quad.evaluate(shadowing.log_domain_cdf(model, quad.nodes))
 
             res = minimize_scalar(
                 obj_omega,

@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import fading
+from . import fading, fitting
 from .composite import CompositeModel
 
 __all__ = [
@@ -107,19 +107,17 @@ def compare(
     support_pad: float = 0.0,
 ) -> CompareResult:
     """Kolmogorov sup-distance and Cramer-von Mises integral against a
-    monotone theoretical CDF (vectorized callable)."""
-    from .fitting import cvm_statistic
-
+    monotone theoretical CDF (vectorized callable), which is called once."""
     t = ecdf.t
-    f_th = np.asarray(theory(t), dtype=float)
     # left limits via a relative nudge so a theory that itself steps at the
     # abscissae (e.g. the eCDF's own interpolant) measures as zero distance
     gaps = np.diff(t, prepend=t[0] - (t[-1] - t[0] + 1.0))
     nudged = t - 1e-9 * gaps
     # keep positive-support theories evaluable at the first abscissa
     nudged = np.where(t > 0, np.maximum(nudged, t * (1.0 - 1e-9)), nudged)
-    f_left = np.asarray(theory(nudged), dtype=float)
+    quad = fitting._CvmQuadrature(ecdf, support_pad)
+    values = np.asarray(theory(np.concatenate((t, nudged, quad.nodes))), dtype=float)
+    f_th, f_left, f_nodes = np.split(values, [t.size, 2 * t.size])
     prev = np.concatenate(([0.0], ecdf.f[:-1]))
     sup = float(np.max(np.maximum(np.abs(ecdf.f - f_th), np.abs(prev - f_left))))
-    cvm = cvm_statistic(ecdf, theory, support_pad=support_pad)
-    return CompareResult(sup, cvm)
+    return CompareResult(sup, quad.evaluate(f_nodes))

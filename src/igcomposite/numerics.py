@@ -1,7 +1,7 @@
-"""Special-function kernels, convergent series summation, and adaptive quadrature.
+"""Convergent series summation, adaptive quadrature, and the 1F2 series.
 
 Everything here is a pure function of its arguments; no global mutable state.
-Scalar precision targets relative error <= 1e-13 for the special functions.
+The library's other special functions come from scipy.special directly.
 Quadrature callbacks must accept numpy arrays (nodes are evaluated in batches).
 """
 
@@ -12,19 +12,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.special as sc
 
 __all__ = [
     "Tolerance",
     "DEFAULT_TOL",
     "ConvergenceError",
-    "ln_gamma",
-    "reg_lower_gamma",
-    "reg_upper_gamma",
-    "erf",
-    "bessel_i",
-    "hyp1f1",
-    "hyp2f1",
     "hyp1f2",
     "integrate_finite",
     "integrate_semi_infinite",
@@ -76,71 +68,9 @@ class ConvergenceError(ArithmeticError):
         self.error_bound = error_bound
 
 
-def ln_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0."""
-    if not x > 0:
-        raise ValueError(f"ln_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
-
-
-def reg_lower_gamma(a: float, z: float) -> float:
-    """Regularized lower incomplete gamma gamma(a,z)/Gamma(a), in [0, 1]."""
-    if not a > 0:
-        raise ValueError(f"reg_lower_gamma requires a > 0, got a={a}")
-    if not z >= 0:
-        raise ValueError(f"reg_lower_gamma requires z >= 0, got z={z}")
-    return float(sc.gammainc(a, z))
-
-
-def reg_upper_gamma(a: float, z: float) -> float:
-    """Regularized upper incomplete gamma Gamma(a,z)/Gamma(a) = 1 - P(a,z)."""
-    if not a > 0:
-        raise ValueError(f"reg_upper_gamma requires a > 0, got a={a}")
-    if not z >= 0:
-        raise ValueError(f"reg_upper_gamma requires z >= 0, got z={z}")
-    return float(sc.gammaincc(a, z))
-
-
-def erf(x: float) -> float:
-    """Error function; odd, range (-1, 1)."""
-    return math.erf(x)
-
-
-def bessel_i(order: float, x: float) -> float:
-    """Modified Bessel function of the first kind I_nu(x).
-
-    Integer orders accept any real x via the reflection identities
-    I_{-n}(x) = I_n(x) and I_n(-x) = (-1)^n I_n(x); non-integer orders
-    require x >= 0.
-    """
-    n = round(order)
-    if order == n:
-        sign = -1.0 if (x < 0 and n % 2) else 1.0
-        return sign * float(sc.iv(abs(n), abs(x)))
-    if x < 0:
-        raise ValueError(
-            f"bessel_i: non-integer order {order} requires x >= 0, got x={x}"
-        )
-    return float(sc.iv(order, x))
-
-
 def _check_not_nonpositive_int(value: float, name: str, func: str) -> None:
     if value <= 0 and value == round(value):
         raise ValueError(f"{func}: parameter {name}={value} is a pole")
-
-
-def hyp1f1(a: float, b: float, z: float) -> float:
-    """Kummer confluent hypergeometric 1F1(a; b; z)."""
-    _check_not_nonpositive_int(b, "b", "hyp1f1")
-    return float(sc.hyp1f1(a, b, z))
-
-
-def hyp2f1(a: float, b: float, c: float, z: float) -> float:
-    """Gauss hypergeometric 2F1(a, b; c; z) for z < 1."""
-    _check_not_nonpositive_int(c, "c", "hyp2f1")
-    if z >= 1:
-        raise ValueError(f"hyp2f1: argument z={z} outside supported region z < 1")
-    return float(sc.hyp2f1(a, b, c, z))
 
 
 def hyp1f2(a: float, b: float, c: float, z: float, tol: Tolerance = DEFAULT_TOL) -> float:

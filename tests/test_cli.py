@@ -94,6 +94,13 @@ class TestEval:
         assert main(["eval", "--config", RAYLEIGH_CFG, "--quantity", "pdf",
                      "--grid", "2:1:1"]) == 2
 
+    def test_numeric_oracle_strategy_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--config", RAYLEIGH_CFG, "--quantity", "cdf",
+                  "--grid", "1:1:1", "--strategy", "numeric-oracle"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'numeric-oracle'" in capsys.readouterr().err
+
 
 class TestOutage:
     def test_columns_and_ratio(self, tmp_path):

@@ -157,7 +157,7 @@ class TestFDistribution:
 class TestCompositePdf:
     def test_rayleigh_spot(self):
         model = co.CompositeModel(2.0, 1.0, fa.Rayleigh())
-        for strat in (S.GMGF_GENERAL, S.GMGF_INTEGER, S.MIXTURE, S.NUMERIC_ORACLE):
+        for strat in (S.GMGF_GENERAL, S.GMGF_INTEGER, S.MIXTURE):
             assert co.composite_pdf(model, 1.0, strat) == pytest.approx(0.25, rel=1e-9)
 
     def test_normalization_twdp(self):
@@ -208,6 +208,21 @@ class TestCompositeCdf:
         c = co.composite_cdf(model, u, S.MIXTURE)
         assert a == pytest.approx(b, abs=1e-8)
         assert a == pytest.approx(c, abs=1e-8)
+
+    @pytest.mark.parametrize(
+        "baseline",
+        [fa.TWDP(4.0, 0.9), fa.TWDP(3.0, 0.8), fa.TWDP(30.0, 1.0), fa.TWDP(0.5, 0.0)],
+        ids=repr,
+    )
+    def test_twdp_integer_route_matches_mixture(self, baseline):
+        # the integer-shape sum takes TWDP's GMGF at integer orders from the
+        # periodic integral, the mixture route never touches it
+        u = np.concatenate((np.logspace(-8, 2.5), [1e-150, 1e-299]))
+        for m in (2.0, 3.0, 5.0):
+            model = co.CompositeModel(m, 1.3, baseline)
+            np.testing.assert_allclose(co.composite_cdf(model, u, S.GMGF_INTEGER),
+                                       co.composite_cdf(model, u, S.MIXTURE),
+                                       rtol=0.0, atol=1e-11)
 
     def test_monotone(self):
         model = co.CompositeModel(2.2, 1.0, fa.KappaMu(2.0, 1.5))

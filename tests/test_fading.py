@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special as sc
@@ -43,8 +44,9 @@ class TestValidation:
 
 
 def twdp_closed_log_by_order(model, p, s):
-    """Loop reference for the integer-order TWDP GMGF: the closed form at one
-    (p, s), its 1F2 brackets and phase sums rebuilt for every order."""
+    """The paper's integer-order TWDP GMGF closed form at one (p, s), its 1F2
+    brackets and phase sums rebuilt for every order: a reference for the
+    periodic integral that gmgf_log uses at every order."""
     K, D, om = model.k_r, model.delta, model.omega_x
     den = K + 1.0 - s * om
     zeta = K * D * s * om / den
@@ -66,6 +68,24 @@ def twdp_closed_log_by_order(model, p, s):
     ref = max(ln_abs)
     total = sum(sg * math.exp(v - ref) for sg, v in zip(signs, ln_abs))
     return p * math.log(om) - math.log(math.pi) + K * s * om / den + ref + math.log(total)
+
+
+def twdp_gmgf_log_mpmath(model, p, s):
+    """ln phi^(p)(s) for TWDP at 30 digits: the periodic phase integral of
+    the Laplace-transformed integral-form PDF, by mpmath quadrature."""
+    with mpmath.workdps(30):
+        K, D, om = (mpmath.mpf(v) for v in (model.k_r, model.delta, model.omega_x))
+        den = 1 + K - mpmath.mpf(s) * om
+        c = K * (1 + K) / den
+
+        def integrand(a):
+            cos = mpmath.cos(a)
+            return mpmath.exp(-K * D * cos) * mpmath.hyp1f1(p + 1, 1, c * (1 + D * cos))
+
+        # the integrand is even about pi
+        val = 2 * mpmath.quad(integrand, [0, mpmath.pi / 2, mpmath.pi])
+        return float(mpmath.log(1 + K) - K + mpmath.loggamma(p + 1) - mpmath.log(2 * mpmath.pi)
+                     + p * mpmath.log(om) - (p + 1) * mpmath.log(den) + mpmath.log(val))
 
 
 class TestGmgf:
@@ -97,13 +117,14 @@ class TestGmgf:
         np.testing.assert_allclose(got, ref, rtol=1e-11)
 
     def test_twdp_lost_precision(self):
-        # the closed form cancels to <= 0 here: gmgf_log gives NaN, so a
-        # series can tell a term past its stop from one it needs; gmgf raises
-        model = fa.TWDP(k_r=30.0, delta=1.0)
-        assert math.isnan(fa.gmgf_log(model, 32.0, -100.0))
-        assert math.isfinite(fa.gmgf_log(model, 4.0, -100.0))
-        with pytest.raises(nm.ConvergenceError):
-            fa.gmgf(model, 32.0, -100.0)
+        # where the paper's integer-order closed form loses precision (NaN
+        # at the first case, off by 3e-11 at the second), the periodic
+        # integral matches a 30-digit evaluation
+        for model, p, s in ((fa.TWDP(k_r=30.0, delta=1.0), 32.0, -100.0),
+                            (fa.TWDP(k_r=4.0, delta=0.9), 42.0, -40.0)):
+            assert fa.gmgf_log(model, p, s) == pytest.approx(
+                twdp_gmgf_log_mpmath(model, p, s), rel=0.0, abs=1e-11
+            )
 
     def test_twdp_real_p_fallback(self):
         model = fa.TWDP(k_r=4.0, delta=0.9)
@@ -113,7 +134,7 @@ class TestGmgf:
 
     @pytest.mark.parametrize("model", MODELS, ids=lambda m: type(m).__name__)
     def test_log_over_arrays_matches_scalar_calls(self, model):
-        # p and s broadcast; TWDP mixes closed-form (integer) and numeric orders
+        # p and s broadcast; TWDP's integral runs all pairs on one phase grid
         p = np.array([[0.0], [1.0], [2.5], [3.7], [7.0]])
         s = np.array([-0.1, -1.0, -10.0])
         got = fa.gmgf_log(model, p, s)

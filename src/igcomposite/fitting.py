@@ -3,19 +3,20 @@
 The statistic integrates |Fhat(t) - F(t)|^2 over the padded data support,
 exploiting the step structure of Fhat: fixed Gauss-Legendre panels on each
 step interval plus head/tail panels where Fhat is 0 and its final level.
-Fits run a bounded Nelder-Mead simplex in log-transformed coordinates from
-a deterministic multistart lattice.
+As the squared norm of the residuals sqrt(w) (Fhat - F) at those nodes, it
+is minimized by box-bounded trust-region least squares in log coordinates,
+one solve per point of a deterministic multistart lattice.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 import scipy.special as sc
-from scipy.optimize import minimize, minimize_scalar
+from scipy.optimize import least_squares
 
 from . import shadowing
 
@@ -36,6 +37,14 @@ _LN10 = math.log(10.0)
 
 @dataclass(frozen=True)
 class FitResult:
+    """One fitted family.
+
+    iterations sums the Jacobian evaluations (njev) of the least-squares
+    solves behind the row (for the integer-m row, the unconstrained search's
+    and the integer-shape solves'); converged is the `success` flag of the
+    solve that produced the returned parameters.
+    """
+
     family: str
     params: shadowing.ShadowingModel
     cvm: float
@@ -214,8 +223,41 @@ def _log_moments(ecdf: EmpiricalCdf) -> tuple[float, float]:
     return m1, max(v, 1e-4)
 
 
-def _clip_coords(c, bounds):
-    return tuple(min(max(ci, lo + 1e-9), hi - 1e-9) for ci, (lo, hi) in zip(c, bounds))
+def _solve(tag: str, quad: _CvmQuadrature, make: Callable, bounds, starts) -> FitResult:
+    """Best least-squares CvM minimum over the starts, in coordinates mapped
+    to a model by `make`."""
+    root_w = np.sqrt(quad.weights)
+
+    def residuals(coords) -> np.ndarray:
+        return root_w * (quad.levels - shadowing.log_domain_cdf(make(coords), quad.nodes))
+
+    best = None
+    iterations = 0
+    for x0 in starts:
+        res = least_squares(residuals, x0, bounds=tuple(zip(*bounds)), method="trf")
+        iterations += int(res.njev)
+        if best is None or res.cost < best.cost:
+            best = res
+    return FitResult(tag, make(best.x), 2.0 * float(best.cost), iterations, bool(best.success))
+
+
+def _restrict_to_integer_m(quad: _CvmQuadrature, real: FitResult) -> FitResult:
+    """Best integer shape near the unconstrained inverse-gamma fit `real`:
+    for each candidate m, one ln(omega) solve started at its omega."""
+    start = [(math.log(real.params.omega_i),)]
+    best, iterations = None, real.iterations
+    for m in sorted({max(2, round(real.params.m) + d) for d in (-2, -1, 0, 1, 2)}):
+        res = _solve(
+            "inverse_gamma_integer",
+            quad,
+            lambda c, m=float(m): shadowing.InverseGamma(m=m, omega_i=math.exp(c[0])),
+            ((_LN_MEAN_LO, _LN_MEAN_HI),),
+            start,
+        )
+        iterations += res.iterations
+        if best is None or res.cvm < best.cvm:
+            best = res
+    return replace(best, iterations=iterations)
 
 
 def fit(
@@ -227,8 +269,9 @@ def fit(
 ) -> FitResult:
     """Minimize the CvM statistic for one shadowing family on log-domain data.
 
-    integer_m (inverse-gamma only) re-optimizes the mean for each integer
-    shape in a bracket around the unconstrained optimum and keeps the best.
+    integer_m (inverse-gamma only) fits the unconstrained law first, then
+    re-optimizes the mean for each integer shape in a bracket around its
+    shape and keeps the best.
     """
     if family not in FAMILIES:
         raise ValueError(f"fit: unknown family {family!r}; choose from {sorted(FAMILIES)}")
@@ -241,60 +284,10 @@ def fit(
 
     fam = FAMILIES[family]
     quad = _CvmQuadrature(ecdf, support_pad)
-
-    def objective(coords) -> float:
-        model = fam.make(coords)
-        return quad.evaluate(shadowing.log_domain_cdf(model, quad.nodes))
-
-    base = fam.start(*_log_moments(ecdf))
-    starts = [
-        _clip_coords((base[0] + dx, base[1] + dy), fam.bounds)
-        for dx, dy in _LATTICE[:multistart]
-    ]
-
-    best = None
-    iterations = 0
-    converged = False
-    for x0 in starts:
-        res = minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            bounds=fam.bounds,
-            options={"maxiter": 200, "xatol": 1e-5, "fatol": 1e-13},
-        )
-        iterations += int(res.nit)
-        if best is None or res.fun < best.fun:
-            best = res
-            converged = bool(res.success)
-
-    family_tag = family
-    params = fam.make(best.x)
-    cvm = float(best.fun)
-
-    if integer_m:
-        family_tag = "inverse_gamma_integer"
-        m_hat = params.m
-        candidates = sorted({max(2, round(m_hat) + d) for d in (-2, -1, 0, 1, 2)})
-        best_int = None
-        for m_c in candidates:
-            def obj_omega(c1: float) -> float:
-                model = shadowing.InverseGamma(m=float(m_c), omega_i=math.exp(c1))
-                return quad.evaluate(shadowing.log_domain_cdf(model, quad.nodes))
-
-            res = minimize_scalar(
-                obj_omega,
-                bounds=(_LN_MEAN_LO, _LN_MEAN_HI),
-                method="bounded",
-                options={"xatol": 1e-6},
-            )
-            iterations += int(res.nfev)
-            if best_int is None or res.fun < best_int[0]:
-                best_int = (float(res.fun), m_c, math.exp(res.x))
-        cvm, m_c, omega_c = best_int
-        params = shadowing.InverseGamma(m=float(m_c), omega_i=omega_c)
-
-    return FitResult(family_tag, params, cvm, iterations, converged)
+    lo, hi = np.transpose(fam.bounds)
+    starts = np.clip(np.add(fam.start(*_log_moments(ecdf)), _LATTICE[:multistart]), lo, hi)
+    real = _solve(family, quad, fam.make, fam.bounds, starts)
+    return _restrict_to_integer_m(quad, real) if integer_m else real
 
 
 def compare_families(
@@ -306,11 +299,16 @@ def compare_families(
 ) -> list[FitResult]:
     """Fit each family and rank ascending by the CvM statistic.
 
-    Per-family failures are collected; if every requested fit fails the
-    aggregated error is raised.
+    The integer-m row restricts the unconstrained inverse-gamma fit, which
+    runs once. Per-family failures are collected; if every requested fit
+    fails the aggregated error is raised. Invalid options raise ValueError
+    before any fit.
     """
     if not families:
         raise ValueError("compare_families: no families requested")
+    if multistart < 1 or support_pad < 0:
+        raise ValueError(f"compare_families: need multistart >= 1 and support_pad >= 0, "
+                         f"got {multistart} and {support_pad}")
     results: list[FitResult] = []
     failures: list[str] = []
     for family in families:
@@ -318,9 +316,11 @@ def compare_families(
             results.append(fit(family, ecdf, False, multistart, support_pad))
         except Exception as exc:  # aggregate and keep going
             failures.append(f"{family}: {exc}")
-    if integer_m and "inverse_gamma" in families:
+    real = next((r for r in results if r.family == "inverse_gamma"), None)
+    if integer_m and real is not None:
         try:
-            results.append(fit("inverse_gamma", ecdf, True, multistart, support_pad))
+            quad = _CvmQuadrature(ecdf, support_pad)
+            results.append(_restrict_to_integer_m(quad, real))
         except Exception as exc:
             failures.append(f"inverse_gamma_integer: {exc}")
     if not results:

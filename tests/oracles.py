@@ -12,7 +12,9 @@ import math
 
 import numpy as np
 import scipy.special as sc
+import scipy.stats
 from scipy.integrate import quad
+from scipy.optimize import minimize, minimize_scalar
 
 
 def series_1f1(a: float, b: float, z: float, terms: int = 600) -> float:
@@ -185,3 +187,103 @@ def step_theory(ecdf):
         return np.where(idx < 0, 0.0, ecdf.f[np.clip(idx, 0, ecdf.f.size - 1)])
 
     return theory
+
+
+# --- independent Cramer-von Mises fitter ---
+
+def _shadowing_cdf(family: str, a: float, b: float, y: np.ndarray) -> np.ndarray:
+    """Shadowing CDFs in natural parameters, transcribed from their textbook
+    forms: lognormal (mu, sigma) of ln y, gamma (shape, mean), inverse
+    Gaussian (mean, shape), inverse gamma (shape, mean)."""
+    if family == "lognormal":
+        return sc.ndtr((np.log(y) - a) / b)
+    if family == "gamma":
+        return sc.gammainc(a, a * y / b)
+    if family == "inverse_gaussian":
+        return scipy.stats.invgauss.cdf(y, a / b, scale=b)
+    return sc.gammaincc(a, b * (a - 1.0) / y)
+
+
+# search coordinates -> natural parameters
+_FIT_NATURAL = {
+    "lognormal": lambda c: (c[0], math.exp(c[1])),
+    "gamma": lambda c: (math.exp(c[0]), math.exp(c[1])),
+    "inverse_gaussian": lambda c: (math.exp(c[0]), math.exp(c[1])),
+    "inverse_gamma": lambda c: (1.0 + math.exp(c[0]), math.exp(c[1])),
+}
+
+
+class CvmFitOracle:
+    """Dense Nelder-Mead minimizer of the CvM gap between the eCDF of the
+    log-domain samples `t` and a shadowing family, over the data support
+    padded by `pad` log units. The integral is taken with 6-point
+    Gauss-Legendre panels per eCDF step and 96-point panels on each pad."""
+
+    def __init__(self, t, pad: float = 5.0):
+        t_u, counts = np.unique(np.asarray(t, dtype=float), return_counts=True)
+        f = np.cumsum(counts) / counts.sum()
+        gx, gw = np.polynomial.legendre.leggauss(6)
+        mid, half = 0.5 * (t_u[:-1] + t_u[1:]), 0.5 * np.diff(t_u)
+        nodes = [(mid[:, None] + half[:, None] * gx).ravel()]
+        weights = [(half[:, None] * gw).ravel()]
+        levels = [np.repeat(f[:-1], gx.size)]
+        px, pw = np.polynomial.legendre.leggauss(96)
+        for a, b, level in ((t_u[0] - pad, t_u[0], 0.0), (t_u[-1], t_u[-1] + pad, f[-1])):
+            nodes.append(0.5 * (a + b) + 0.5 * (b - a) * px)
+            weights.append(0.5 * (b - a) * pw)
+            levels.append(np.full(px.size, level))
+        self.y = np.exp(np.concatenate(nodes))
+        self.weights = np.concatenate(weights)
+        self.levels = np.concatenate(levels)
+        self.t, self.f = t_u, f
+
+    def cvm(self, family: str, a: float, b: float) -> float:
+        gap = self.levels - _shadowing_cdf(family, a, b, self.y)
+        return float(np.sum(self.weights * gap * gap))
+
+    def _center(self, family: str) -> np.ndarray:
+        w = np.diff(np.concatenate(([0.0], self.f)))
+        mean_t = float(np.sum(w * self.t))
+        var_t = float(np.sum(w * (self.t - mean_t) ** 2))
+        mean_y = float(np.sum(w * np.exp(self.t)))
+        var_y = float(np.sum(w * (np.exp(self.t) - mean_y) ** 2))
+        return np.array({
+            "lognormal": (mean_t, 0.5 * math.log(var_t)),
+            "gamma": (-math.log(var_t), math.log(mean_y)),
+            "inverse_gaussian": (math.log(mean_y), math.log(mean_y**3 / var_y)),
+            "inverse_gamma": (-math.log(var_t), math.log(mean_y)),
+        }[family])
+
+    def fit(self, family: str) -> tuple[tuple[float, float], float]:
+        """(natural parameters, CvM) from a 9 x 9 lattice over +-3 around a
+        moment center, Nelder-Mead from the 4 best points and a polish."""
+        def objective(c):
+            try:
+                return self.cvm(family, *_FIT_NATURAL[family](c))
+            except (OverflowError, ValueError):
+                return math.inf
+
+        c0 = self._center(family)
+        offsets = np.linspace(-3.0, 3.0, 9)
+        lattice = sorted((c0 + (dx, dy) for dx in offsets for dy in offsets), key=objective)
+        opts = {"xatol": 1e-9, "fatol": 1e-18, "maxfev": 1500}
+        best = min((minimize(objective, x0, method="Nelder-Mead", options=opts)
+                    for x0 in lattice[:4]), key=lambda r: r.fun)
+        best = minimize(objective, best.x, method="Nelder-Mead", options=opts)
+        return _FIT_NATURAL[family](best.x), float(best.fun)
+
+    def fit_integer_m(self, omega_hat: float, m_max: int = 12) -> tuple[tuple[float, float], float]:
+        """Best inverse gamma with integer shape 2..m_max: for each shape a
+        scan over ln omega within +-4 of ln omega_hat, then a Brent polish."""
+        best = None
+        for m in range(2, m_max + 1):
+            def objective(c, m=m):
+                return self.cvm("inverse_gamma", float(m), math.exp(c))
+
+            scan = np.linspace(math.log(omega_hat) - 4.0, math.log(omega_hat) + 4.0, 161)
+            c_best = scan[int(np.argmin([objective(c) for c in scan]))]
+            res = minimize_scalar(objective, bounds=(c_best - 0.06, c_best + 0.06),
+                                  method="bounded", options={"xatol": 1e-11})
+            if best is None or res.fun < best[1]:
+                best = ((float(m), math.exp(res.x)), float(res.fun))
+        return best

@@ -223,6 +223,14 @@ class TestFit:
         assert main(["fit", "--data", str(data), "--scale", "ln",
                      "--families", "gamma"]) == 4
 
+    @pytest.mark.parametrize("option", [["--multistart", "0"], ["--pad", "-1"]])
+    def test_invalid_fit_option_exits_2(self, tmp_path, option, capsys):
+        data = tmp_path / "d.csv"
+        self._write_samples(data, np.log(sh.sample_inverse_gamma(5.0, 1.0, 200, seed=5)))
+        assert main(["fit", "--data", str(data), "--scale", "ln",
+                     "--families", "gamma,inverse_gamma"] + option) == 2
+        assert "fit failed" not in capsys.readouterr().err
+
     def test_db_direction_flag(self, tmp_path):
         data = tmp_path / "d.csv"
         xs = np.log(sh.sample_inverse_gamma(5.0, 1.0, 1000, seed=9))

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from igcomposite import fitting as ft
 from igcomposite import montecarlo as mc
 from igcomposite import shadowing as sh
 
-from oracles import step_theory
+from oracles import CvmFitOracle, step_theory
 
 
 def ig_log_ecdf(m, omega, n, seed):
@@ -144,6 +145,28 @@ class TestCompareFamilies:
         cvms = [r.cvm for r in ranked]
         assert cvms[-1] / cvms[0] < 10.0
 
+    def test_integer_row_reuses_the_unconstrained_search(self, monkeypatch):
+        ecdf = ig_log_ecdf(5.0, 1.0, 2000, seed=6)
+        shapes = []
+        library_cdf = sh.log_domain_cdf
+
+        def counting(model, t):
+            shapes.append(model.m)
+            return library_cdf(model, t)
+
+        monkeypatch.setattr(sh, "log_domain_cdf", counting)
+        ft.fit("inverse_gamma", ecdf, multistart=2)
+        search = len(shapes)
+        shapes.clear()
+        ranked = ft.compare_families(ecdf, ["inverse_gamma"], integer_m=True, multistart=2)
+        # the integer-m solves evaluate whole shapes only
+        assert sum(m != round(m) for m in shapes) == search
+        # fit() alone runs its own unconstrained search and lands on the same row
+        shapes.clear()
+        alone = ft.fit("inverse_gamma", ecdf, integer_m=True, multistart=2)
+        assert sum(m != round(m) for m in shapes) == search
+        assert next(r for r in ranked if r.family == "inverse_gamma_integer") == alone
+
     def test_integer_row_appended(self):
         ecdf = ig_log_ecdf(5.0, 1.0, 2000, seed=6)
         ranked = ft.compare_families(
@@ -156,3 +179,36 @@ class TestCompareFamilies:
         ecdf = mc.empirical_cdf([1.0, 2.0])
         with pytest.raises(ValueError):
             ft.compare_families(ecdf, [])
+
+
+# n = 500 log-samples of the two laws the benchmark fits; bounds are the
+# benchmark's: parameters 1e-3 relative, CvM 1e-6 relative
+ORACLE_DATA = {
+    "invgamma": lambda: np.log(sh.sample_inverse_gamma(3.0, 2.0, 500, seed=31)),
+    "gamma": lambda: np.log(
+        np.random.Generator(np.random.Philox(np.random.SeedSequence(32))).gamma(2.0, 1.0, 500)
+    ),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_fits(law: str) -> dict:
+    oracle = CvmFitOracle(ORACLE_DATA[law]())
+    out = {family: oracle.fit(family) for family in ft.FAMILIES}
+    out["inverse_gamma_integer"] = oracle.fit_integer_m(out["inverse_gamma"][0][1])
+    return out
+
+
+class TestAgainstIndependentFitter:
+    @pytest.mark.parametrize("law", sorted(ORACLE_DATA))
+    @pytest.mark.parametrize("family", sorted(ft.FAMILIES) + ["inverse_gamma_integer"])
+    def test_matches_dense_nelder_mead(self, law, family):
+        ecdf = mc.empirical_cdf(ORACLE_DATA[law]())
+        if family == "inverse_gamma_integer":
+            res = ft.fit("inverse_gamma", ecdf, integer_m=True)
+        else:
+            res = ft.fit(family, ecdf)
+        assert res.family == family
+        params, cvm = oracle_fits(law)[family]
+        assert tuple(vars(res.params).values()) == pytest.approx(params, rel=1e-3)
+        assert res.cvm == pytest.approx(cvm, rel=1e-6)

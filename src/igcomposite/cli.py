@@ -113,6 +113,8 @@ def _parse_grid(spec: str) -> np.ndarray:
         start, step, stop = (float(tok) for tok in spec.split(":"))
     except ValueError as exc:
         raise ConfigError(f"grid: expected start:step:stop, got {spec!r}") from exc
+    if not all(map(math.isfinite, (start, step, stop))):
+        raise ConfigError(f"grid: start, step and stop must be finite, got {spec!r}")
     if step <= 0:
         raise ConfigError(f"grid: step must be > 0, got {step}")
     if stop < start:

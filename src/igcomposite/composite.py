@@ -33,6 +33,7 @@ from . import fading
 # without them
 from .numerics import (  # noqa: F401
     DEFAULT_TOL,
+    ConvergenceError,
     Tolerance,
     integrate_semi_infinite,
     sum_series,
@@ -277,13 +278,22 @@ def _cdf_series(model: CompositeModel, u: np.ndarray, tol: Tolerance) -> np.ndar
             + fading.gmgf_log(model.baseline, q, s[idx, None], tol)
         return np.where(ln_t < -745.0, 0.0, np.exp(ln_t))  # NaN stays NaN
 
+    def summed(points: np.ndarray) -> np.ndarray:
+        try:
+            return sum_series_blocks(lambda ns, idx: terms(ns, points[idx]), tol, points.size)[0]
+        except ConvergenceError as exc:
+            # a failing GMGF quadrature inside `terms` names no series
+            at = "" if exc.series is None else f", u = {u[points[exc.series]]:.6g}"
+            raise ConvergenceError(f"{model.baseline}, m = {m:g}{at}: {exc}",
+                                   exc.estimate, exc.error_bound) from exc
+
     # the smallest u needs the most terms: sum its series first, so one
     # that cannot converge raises before the others are summed
     head = int(np.argmin(u))
     rest = np.delete(np.arange(u.size), head)
     total = np.empty(u.size)
-    total[[head]], _ = sum_series_blocks(lambda ns, idx: terms(ns, idx + head), tol, 1)
-    total[rest], _ = sum_series_blocks(lambda ns, idx: terms(ns, rest[idx]), tol, rest.size)
+    total[[head]] = summed(np.array([head]))
+    total[rest] = summed(rest)
     return 1.0 - total
 
 

@@ -49,9 +49,12 @@ class EmpiricalCdf:
     def thin(self, max_points: int) -> "EmpiricalCdf":
         """Keep every k-th point (always including the last); the retained
         (t, f) pairs are exact values of the full step CDF."""
+        if max_points < 1:
+            raise ValueError(f"EmpiricalCdf.thin: max_points must be >= 1, got {max_points}")
         if self.t.size <= max_points:
             return self
-        idx = np.unique(np.linspace(0, self.t.size - 1, max_points).astype(int))
+        last = self.t.size - 1
+        idx = np.unique(np.linspace(0, last, max_points).astype(int)) if max_points > 1 else [last]
         return EmpiricalCdf(self.t[idx], self.f[idx], self.sample_count)
 
 

@@ -59,13 +59,16 @@ class ConvergenceError(ArithmeticError):
     """Raised when a series or quadrature hits its budget before converging.
 
     Carries the best available estimate so callers can decide whether the
-    partial result is still usable.
+    partial result is still usable. From `sum_series_blocks`, `series` is
+    the index of the series that failed; otherwise it is None.
     """
 
-    def __init__(self, message: str, estimate: float, error_bound: float):
+    def __init__(self, message: str, estimate: float, error_bound: float,
+                 series: int | None = None):
         super().__init__(message)
         self.estimate = estimate
         self.error_bound = error_bound
+        self.series = series
 
 
 def _check_not_nonpositive_int(value: float, name: str, func: str) -> None:
@@ -296,9 +299,10 @@ def sum_series_blocks(
         # it lies before the stop only in a series that has not stopped
         lost = np.isnan(t) & (pos <= last[:, None])
         if lost.any():
-            col = np.argwhere(lost)[0, 1]
+            row, col = np.argwhere(lost)[0]
             raise ConvergenceError(
-                f"series term {k0 + col} is NaN", estimate=math.nan, error_bound=math.inf
+                f"series term {k0 + col} is NaN", estimate=math.nan, error_bound=math.inf,
+                series=int(idx[row]),
             )
         y = np.where(pos <= last[:, None], t, 0.0).sum(axis=1) - comp[idx]
         s = total[idx] + y
@@ -314,6 +318,7 @@ def sum_series_blocks(
                 f"series did not converge in {tol.max_terms} terms",
                 estimate=float(total[idx[0]]),
                 error_bound=abs(float(t[0, -1])) * 3,
+                series=int(idx[0]),
             )
         t_prev = t[:, -2] if width > 1 else prev[idx]
         prev[idx] = t[:, -1]

@@ -1,6 +1,11 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -94,6 +99,15 @@ class TestEval:
         assert main(["eval", "--config", RAYLEIGH_CFG, "--quantity", "pdf",
                      "--grid", "2:1:1"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--quantity", "cdf", "--grid", "0.1:1:inf"],
+        ["outage", "--grid-db=-inf:4:0"],
+        ["eval", "--quantity", "cdf", "--grid", "nan:1:2"],
+    ], ids=["eval-inf-stop", "outage-inf-start", "eval-nan-start"])
+    def test_non_finite_grid_exits_2(self, argv, capsys):
+        assert main(argv + ["--config", RAYLEIGH_CFG]) == 2
+        assert "must be finite" in capsys.readouterr().err
+
     def test_numeric_oracle_strategy_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["eval", "--config", RAYLEIGH_CFG, "--quantity", "cdf",
@@ -152,6 +166,12 @@ class TestOutage:
             assert float(exact) == pytest.approx(float(_fmt(co.outage(model, r, 1.0))), rel=1e-12)
             assert float(asym) == pytest.approx(
                 float(_fmt(co.outage_asymptotic(model, r, 1.0))), rel=1e-12)
+
+    def test_series_failure_names_model_and_point(self, capsys):
+        cfg = '{"shadowing":{"m":2.5},"fading":{"type":"hoyt","q":0.5}}'
+        assert main(["outage", "--config", cfg, "--grid-db=-40:10:0"]) == 3
+        err = capsys.readouterr().err
+        assert "Hoyt(q=0.5" in err and "m = 2.5" in err and "u = 0.0001" in err
 
 
 class TestFit:
@@ -292,3 +312,36 @@ class TestGmgf:
     def test_bad_domain_exits_2(self):
         assert main(["gmgf", "--fading", '{"type":"rayleigh"}',
                      "--p", "1", "--s", "1"]) == 2
+
+
+def test_only_fit_loads_the_optimizer(tmp_path):
+    # scipy.optimize (and the scipy.linalg/sparse/fft it pulls in) is most of
+    # the start-up cost of a command, so only a solve may import it
+    data = tmp_path / "d.csv"
+    xs = np.log(sh.sample_inverse_gamma(5.0, 1.0, 300, seed=5))
+    data.write_text("value\n" + "".join(f"{x:.10g}\n" for x in xs))
+    script = textwrap.dedent(f"""
+        import sys
+        import igcomposite
+        from igcomposite import cli
+
+        cfg = {RAYLEIGH_CFG!r}
+        for argv in (
+            ["eval", "--config", cfg, "--quantity", "cdf", "--grid", "0.5:0.5:2"],
+            ["outage", "--config", cfg, "--grid-db=-20:10:0", "--asymptotic"],
+            ["simulate", "--config", cfg, "--count", "4000", "--seed", "3", "--validate"],
+            ["gmgf", "--fading", '{{"type":"rician","k_r":2}}', "--p", "1.5", "--s=-1", "--check"],
+        ):
+            assert cli.main(argv) == 0, argv
+        heavy = ("scipy.optimize", "scipy.linalg", "scipy.integrate", "scipy.stats")
+        loaded = [name for name in heavy if name in sys.modules]
+        assert not loaded, loaded
+        argv = ["fit", "--data", {str(data)!r}, "--scale", "ln",
+                "--families", "inverse_gamma", "--multistart", "1"]
+        assert cli.main(argv) == 0
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

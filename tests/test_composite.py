@@ -428,6 +428,29 @@ class TestTransformRoutesOverArrays:
         with pytest.raises(nm.ConvergenceError):
             co.composite_cdf(model, np.array([1.0, 1e-4, 0.1]), S.GMGF_GENERAL)
 
+    def test_failure_names_the_model_and_point(self, monkeypatch):
+        # a NaN GMGF at u = 0.1 only: the failing series is not the first
+        model = co.CompositeModel(2.5, 1.0, fa.Rician(3.0))
+        u = np.array([0.05, 2.0, 0.1])
+        s_bad = (1.0 - model.m) * model.w_bar / u[2]
+        gmgf_log = fa.gmgf_log
+        monkeypatch.setattr(fa, "gmgf_log", lambda b, q, s, tol: np.where(
+            s == s_bad, np.nan, gmgf_log(b, q, s, tol)))
+        with pytest.raises(nm.ConvergenceError,
+                           match=r"^Rician\(k_r=3.0.*\), m = 2.5, u = 0.1: series term 0 is NaN"):
+            co.composite_cdf(model, u, S.GMGF_GENERAL)
+
+    def test_gmgf_failure_names_the_model(self, monkeypatch):
+        def failing(*args):
+            raise nm.ConvergenceError("periodic rule did not converge", 0.5, 1e-3)
+
+        monkeypatch.setattr(fa, "gmgf_log", failing)
+        model = co.CompositeModel(2.5, 1.0, fa.Rician(3.0))
+        with pytest.raises(nm.ConvergenceError,
+                           match=r"^Rician\(k_r=3.0.*\), m = 2.5: periodic rule") as exc:
+            co.composite_cdf(model, np.array([0.5, 1.0]), S.GMGF_GENERAL)
+        assert (exc.value.estimate, exc.value.error_bound) == (0.5, 1e-3)
+
     def test_lost_precision_raises(self):
         # at m = 40.5 and u = 1e-4 the Hoyt terms stay flat until the GMGF
         # turns NaN near order 1e4; summed as zeros, that read as converged

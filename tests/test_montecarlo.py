@@ -42,6 +42,22 @@ class TestEmpiricalCdf:
             idx = np.searchsorted(ecdf.t, t)
             assert ecdf.f[idx] == f
 
+    def test_thin_to_one_point_keeps_the_last(self):
+        ecdf = mc.empirical_cdf(np.arange(1, 11, dtype=float))
+        thin = ecdf.thin(1)
+        assert thin.t.tolist() == [10.0] and thin.f.tolist() == [1.0]
+        with pytest.raises(ValueError, match="max_points must be >= 1"):
+            ecdf.thin(0)
+
+    def test_thin_indices_for_validation(self):
+        # simulate --validate thins to 4096 points, and its bench references
+        # are checked to 1e-6: the kept indices must not move
+        ecdf = mc.empirical_cdf(np.random.default_rng(4).random(10**4))
+        idx = np.unique(np.linspace(0, 10**4 - 1, 4096).astype(int))
+        thin = ecdf.thin(4096)
+        np.testing.assert_array_equal(thin.t, ecdf.t[idx])
+        np.testing.assert_array_equal(thin.f, ecdf.f[idx])
+
 
 class TestSampleComposite:
     def test_mean(self):

@@ -244,8 +244,9 @@ class TestSumSeries:
     def test_side_by_side_nonconvergence(self):
         tol = nm.Tolerance(max_terms=200)
         ratios = np.array([0.5, 1.0, 0.9])
-        with pytest.raises(nm.ConvergenceError):
+        with pytest.raises(nm.ConvergenceError) as exc:
             nm.sum_series_blocks(lambda ks, idx: ratios[idx, None] ** ks, tol, ratios.size)
+        assert exc.value.series == 1
 
     @pytest.mark.parametrize("width", [1, 16, 64])
     def test_nan_past_the_stop_is_never_summed(self, width, monkeypatch):
@@ -263,9 +264,14 @@ class TestSumSeries:
 
     def test_nan_before_the_stop_raises(self):
         _, n = nm.sum_series(lambda k: 0.5**k)
-        with pytest.raises(nm.ConvergenceError):
-            nm.sum_series_blocks(lambda ks, idx: np.where(ks < n - 1, 0.5**ks, np.nan)
-                                 * np.ones((idx.size, 1)), count=2)
+
+        def terms(ks, idx):
+            # only series 1 of 3 turns NaN before its stop
+            return np.where((ks < n - 1) | (idx[:, None] != 1), 0.5**ks, np.nan)
+
+        with pytest.raises(nm.ConvergenceError) as exc:
+            nm.sum_series_blocks(terms, count=3)
+        assert exc.value.series == 1
 
     def test_side_by_side_empty(self):
         totals, longest = nm.sum_series_blocks(lambda ks, idx: np.ones((idx.size, ks.size)),

@@ -273,6 +273,8 @@ def _cmd_simulate(args) -> int:
     model = parse_model_config(args.config)
     if args.count < 1:
         raise ConfigError(f"count: must be >= 1, got {args.count}")
+    if args.validate and args.count < 2:
+        raise ConfigError(f"count: --validate needs at least 2 samples, got {args.count}")
     samples = montecarlo.sample_composite(model, args.count, args.seed)
     if args.emit_samples:
         _write_rows(args.emit_samples, ["value"], [(_fmt(v),) for v in samples])
@@ -344,7 +346,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--db-direction", default="paper", choices=["paper", "conventional"])
     p_fit.add_argument("--families", default="lognormal,gamma,inverse_gaussian,inverse_gamma")
     p_fit.add_argument("--integer-m", action="store_true")
-    p_fit.add_argument("--multistart", type=int, default=8)
+    p_fit.add_argument("--multistart", type=int, default=8,
+                       help="starts per family, from a 13-point lattice (1 to 13)")
     p_fit.add_argument("--pad", type=float, default=5.0, help="support padding in log units")
     p_fit.add_argument("--out", default=None)
     p_fit.set_defaults(func=_cmd_fit)

@@ -212,6 +212,14 @@ def _ln_hyp1f1(a, b: float, w) -> np.ndarray:
     return out
 
 
+def _ln_hyp2f1(a, b, c, z) -> np.ndarray:
+    """ln 2F1(a, b; c; z), NaN where 2F1 overflows double precision: its
+    logarithm is then unknown, not infinite, so a series that reaches such
+    a term raises instead of summing an infinity."""
+    out = np.log(sc.hyp2f1(a, b, c, z))
+    return np.where(np.isfinite(out), out, np.nan)
+
+
 def pdf(model: FadingModel, x, tol: Tolerance = DEFAULT_TOL):
     """Power PDF at x > 0. Vectorized except for TWDP, whose PDF is a
     periodic integral evaluated point by point."""
@@ -393,7 +401,7 @@ def gmgf_log(model: FadingModel, p, s, tol: Tolerance = DEFAULT_TOL):
             + p * math.log(om)
             + math.log(q * q + 1.0)
             - (p + 1.0) * np.log(den)
-            + np.log(sc.hyp2f1(0.5, p + 1.0, 1.0, (1.0 - q**4) / den))
+            + _ln_hyp2f1(0.5, p + 1.0, 1.0, (1.0 - q**4) / den)
         )
     elif isinstance(model, EtaMu):
         eta, mu = model.eta, model.mu
@@ -406,13 +414,11 @@ def gmgf_log(model: FadingModel, p, s, tol: Tolerance = DEFAULT_TOL):
             + 2.0 * mu * math.log(eta + 1.0)
             - mu * math.log(eta)
             - (p + 2.0 * mu) * np.log(den)
-            + np.log(
-                sc.hyp2f1(
-                    mu,
-                    2.0 * mu + p,
-                    2.0 * mu,
-                    mu * (1.0 - eta * eta) / (mu * (1.0 + eta) - arr * eta * om),
-                )
+            + _ln_hyp2f1(
+                mu,
+                2.0 * mu + p,
+                2.0 * mu,
+                mu * (1.0 - eta * eta) / (mu * (1.0 + eta) - arr * eta * om),
             )
         )
     elif isinstance(model, KappaMuShadowed):
@@ -429,10 +435,8 @@ def gmgf_log(model: FadingModel, p, s, tol: Tolerance = DEFAULT_TOL):
             + mu * math.log(1.0 + kap)
             - mf * math.log(mu * kap + mf)
             - (mu + p) * np.log(den)
-            + np.log(
-                sc.hyp2f1(
-                    mf, mu + p, mu, mu * mu * kap * (1.0 + kap) / (mu * kap + mf) / den
-                )
+            + _ln_hyp2f1(
+                mf, mu + p, mu, mu * mu * kap * (1.0 + kap) / (mu * kap + mf) / den
             )
         )
     elif isinstance(model, TWDP):

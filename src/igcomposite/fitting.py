@@ -4,8 +4,12 @@ The statistic integrates |Fhat(t) - F(t)|^2 over the padded data support,
 exploiting the step structure of Fhat: fixed Gauss-Legendre panels on each
 step interval plus head/tail panels where Fhat is 0 and its final level.
 As the squared norm of the residuals sqrt(w) (Fhat - F) at those nodes, it
-is minimized by box-bounded trust-region least squares in log coordinates,
+is minimized in log coordinates by a small box-projected Levenberg-Marquardt,
 one solve per point of a deterministic multistart lattice.
+
+Every family has a coordinate direction that only rescales the law (Y -> Y e^d),
+and along it dF/dd = -y f(y) exactly, so one Jacobian column comes from the
+model PDF; the other coordinate takes one forward difference of the CDF.
 """
 
 from __future__ import annotations
@@ -38,10 +42,11 @@ _LN10 = math.log(10.0)
 class FitResult:
     """One fitted family.
 
-    iterations sums the Jacobian evaluations (njev) of the least-squares
+    iterations sums the Jacobian evaluations of the Levenberg-Marquardt
     solves behind the row (for the integer-m row, the unconstrained search's
-    and the integer-shape solves'); converged is the `success` flag of the
-    solve that produced the returned parameters.
+    and the integer-shape solves'); converged is true when the solve that
+    produced the returned parameters met a stop rule (ftol, xtol or gtol)
+    before its evaluation budget ran out.
     """
 
     family: str
@@ -155,6 +160,7 @@ class _Family:
     make: Callable
     bounds: tuple[tuple[float, float], tuple[float, float]]
     start: Callable  # (log-mean, log-var) -> coords
+    scale: tuple[float, float]  # coordinate direction that only rescales the law
 
 
 def _start_lognormal(m1, v):
@@ -185,24 +191,28 @@ FAMILIES: dict[str, _Family] = {
         _make_lognormal,
         ((_LN_MEAN_LO, _LN_MEAN_HI), (math.log(1e-3), math.log(5.0))),
         _start_lognormal,
+        (1.0, 0.0),
     ),
     "gamma": _Family(
         "gamma",
         _make_gamma,
         ((math.log(0.05), math.log(1e4)), (_LN_MEAN_LO, _LN_MEAN_HI)),
         _start_gamma,
+        (0.0, 1.0),
     ),
     "inverse_gaussian": _Family(
         "inverse_gaussian",
         _make_invgauss,
         ((_LN_MEAN_LO, _LN_MEAN_HI), (_LN_MEAN_LO, _LN_MEAN_HI)),
         _start_invgauss,
+        (1.0, 1.0),
     ),
     "inverse_gamma": _Family(
         "inverse_gamma",
         _make_invgamma,
         ((math.log(1e-6), math.log(1e4)), (_LN_MEAN_LO, _LN_MEAN_HI)),
         _start_invgamma,
+        (0.0, 1.0),
     ),
 }
 
@@ -222,25 +232,111 @@ def _log_moments(ecdf: EmpiricalCdf) -> tuple[float, float]:
     return m1, max(v, 1e-4)
 
 
-def _solve(tag: str, quad: _CvmQuadrature, make: Callable, bounds, starts) -> FitResult:
-    """Best least-squares CvM minimum over the starts, in coordinates mapped
-    to a model by `make`."""
-    # imported here: ~0.3 s and ~22 MB of start-up that only `fit` needs
-    from scipy.optimize import least_squares
+# scipy.optimize.least_squares' default stop rules and evaluation budget
+_FTOL = _XTOL = _GTOL = 1e-8
+_NFEV_PER_COORD = 100
+_FD_STEP = math.sqrt(np.finfo(float).eps)
 
+
+def _levenberg_marquardt(residuals, jacobian, x0, lo, hi):
+    """Minimize |r(x)|^2 / 2 over the box [lo, hi], starting at x0.
+
+    Marquardt-damped Gauss-Newton steps on the coordinates the gradient does
+    not hold at a bound, clipped to the box. Stops as least_squares does: a
+    reduction below ftol of the cost (at a gain ratio above 1/4), a step
+    below xtol of |x|, or a free gradient below gtol. Returns (x, cost,
+    Jacobian evaluations, whether a stop rule was met within 100 residual
+    evaluations per coordinate).
+    """
+    x = np.array(x0, dtype=float)
+    r = residuals(x)
+    cost, nfev = 0.5 * float(r @ r), 1
+    J, njev = jacobian(x, r), 1
+    damping, growth, fresh = 1e-3, 2.0, True
+    while True:
+        if fresh:
+            g = J.T @ r
+            free = ~(((x <= lo) & (g > 0)) | ((x >= hi) & (g < 0)))
+            if np.max(np.abs(g[free]), initial=0.0) < _GTOL:
+                return x, cost, njev, True
+            A = J[:, free].T @ J[:, free]
+            # Marquardt's scaling; a zero column (a coordinate the CDF does
+            # not feel) is damped as a unit one, as MINPACK does
+            D = np.diag(np.where(np.diag(A) > 0, np.diag(A), 1.0))
+        if nfev >= _NFEV_PER_COORD * x.size:
+            return x, cost, njev, False
+        step = np.zeros_like(x)
+        step[free] = np.linalg.solve(A + damping * D, -g[free])
+        x_new = np.clip(x + step, lo, hi)
+        dx = x_new - x
+        r_new = residuals(x_new)
+        cost_new, nfev = 0.5 * float(r_new @ r_new), nfev + 1
+        reduction = cost - cost_new
+        predicted = -float(g @ dx) - 0.5 * float(np.sum((J @ dx) ** 2))
+        ratio = reduction / predicted if predicted > 0 else 0.0
+        done = (reduction < _FTOL * cost and ratio > 0.25) or (
+            np.linalg.norm(dx) < _XTOL * (_XTOL + np.linalg.norm(x)))
+        fresh = reduction > 0
+        if fresh:
+            x, r, cost = x_new, r_new, cost_new
+            damping *= max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3)
+            growth = 2.0
+        else:
+            damping, growth = damping * growth, 2.0 * growth
+        if done:
+            return x, cost, njev, True
+        if fresh:
+            J, njev = jacobian(x, r), njev + 1
+
+
+def _objective(quad: _CvmQuadrature, make: Callable, bounds, scale):
+    """The residuals sqrt(w) (Fhat - F) at the quadrature nodes, F the CDF of
+    `make(coords)`, and their Jacobian (coords, residuals) -> (nodes, coords).
+
+    `scale` is the coordinate direction that only rescales the law; its
+    column is exact, and the other one (in 2-D) is a forward difference,
+    stepped back into the box at an upper bound.
+    """
     root_w = np.sqrt(quad.weights)
+    # the abscissae log_domain_cdf evaluates the CDF at
+    y = np.exp(np.clip(quad.nodes, shadowing._EXP_LO, shadowing._EXP_HI))
+    hi = np.transpose(bounds)[1]
+    basis = np.array(scale, dtype=float)[:, None]
+    if basis.size == 2:
+        axis = int(scale[0] != 0)
+        basis = np.column_stack([basis, np.eye(2)[axis]])
+    to_coords = np.linalg.inv(basis)
 
     def residuals(coords) -> np.ndarray:
         return root_w * (quad.levels - shadowing.log_domain_cdf(make(coords), quad.nodes))
 
+    def jacobian(coords, r) -> np.ndarray:
+        # dF/d(scale) = -y f(y), so the residuals' derivative is +sqrt(w) y f(y)
+        cols = [root_w * y * shadowing.pdf(make(coords), y)]
+        if basis.shape[1] == 2:
+            h = _FD_STEP * max(1.0, abs(coords[axis]))
+            stepped = np.array(coords, dtype=float)
+            stepped[axis] += h if coords[axis] + h <= hi[axis] else -h
+            cols.append((residuals(stepped) - r) / (stepped[axis] - coords[axis]))
+        return np.column_stack(cols) @ to_coords
+
+    return residuals, jacobian
+
+
+def _solve(tag: str, quad: _CvmQuadrature, make: Callable, bounds, scale, starts) -> FitResult:
+    """Best least-squares CvM minimum over the starts, in coordinates mapped
+    to a model by `make`."""
+    residuals, jacobian = _objective(quad, make, bounds, scale)
+    lo, hi = np.transpose(bounds)
     best = None
     iterations = 0
     for x0 in starts:
-        res = least_squares(residuals, x0, bounds=tuple(zip(*bounds)), method="trf")
-        iterations += int(res.njev)
-        if best is None or res.cost < best.cost:
-            best = res
-    return FitResult(tag, make(best.x), 2.0 * float(best.cost), iterations, bool(best.success))
+        x, cost, njev, converged = _levenberg_marquardt(residuals, jacobian, x0, lo, hi)
+        iterations += njev
+        if best is None or cost < best[1]:
+            best = (x, cost, converged)
+    x, cost, converged = best
+    return FitResult(tag, make(x), 2.0 * cost, iterations, converged)
 
 
 def _restrict_to_integer_m(quad: _CvmQuadrature, real: FitResult) -> FitResult:
@@ -254,6 +350,7 @@ def _restrict_to_integer_m(quad: _CvmQuadrature, real: FitResult) -> FitResult:
             quad,
             lambda c, m=float(m): shadowing.InverseGamma(m=m, omega_i=math.exp(c[0])),
             ((_LN_MEAN_LO, _LN_MEAN_HI),),
+            (1.0,),
             start,
         )
         iterations += res.iterations
@@ -281,14 +378,15 @@ def fit(
         raise ValueError("fit: integer_m applies to the inverse_gamma family only")
     if ecdf.t.size < 2:
         raise ValueError("fit: degenerate data (fewer than two distinct abscissae)")
-    if multistart < 1:
-        raise ValueError(f"fit: multistart must be >= 1, got {multistart}")
+    if not 1 <= multistart <= len(_LATTICE):
+        raise ValueError(f"fit: multistart must be 1 to {len(_LATTICE)} (the points of the "
+                         f"{len(_LATTICE)}-point start lattice), got {multistart}")
 
     fam = FAMILIES[family]
     quad = _CvmQuadrature(ecdf, support_pad)
     lo, hi = np.transpose(fam.bounds)
     starts = np.clip(np.add(fam.start(*_log_moments(ecdf)), _LATTICE[:multistart]), lo, hi)
-    real = _solve(family, quad, fam.make, fam.bounds, starts)
+    real = _solve(family, quad, fam.make, fam.bounds, fam.scale, starts)
     return _restrict_to_integer_m(quad, real) if integer_m else real
 
 
@@ -308,8 +406,9 @@ def compare_families(
     """
     if not families:
         raise ValueError("compare_families: no families requested")
-    if multistart < 1 or support_pad < 0:
-        raise ValueError(f"compare_families: need multistart >= 1 and support_pad >= 0, "
+    if not 1 <= multistart <= len(_LATTICE) or support_pad < 0:
+        raise ValueError(f"compare_families: need multistart 1 to {len(_LATTICE)} (the "
+                         f"{len(_LATTICE)}-point start lattice) and support_pad >= 0, "
                          f"got {multistart} and {support_pad}")
     results: list[FitResult] = []
     failures: list[str] = []

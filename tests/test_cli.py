@@ -243,7 +243,8 @@ class TestFit:
         assert main(["fit", "--data", str(data), "--scale", "ln",
                      "--families", "gamma"]) == 4
 
-    @pytest.mark.parametrize("option", [["--multistart", "0"], ["--pad", "-1"]])
+    @pytest.mark.parametrize("option", [["--multistart", "0"], ["--pad", "-1"],
+                                        ["--multistart", "14"]])
     def test_invalid_fit_option_exits_2(self, tmp_path, option, capsys):
         data = tmp_path / "d.csv"
         self._write_samples(data, np.log(sh.sample_inverse_gamma(5.0, 1.0, 200, seed=5)))
@@ -277,6 +278,12 @@ class TestSimulate:
                    "--seed", "7", "--validate"])
         assert rc == 0
         assert "validation passed" in capsys.readouterr().out
+
+    def test_validate_needs_two_samples(self, capsys):
+        rc = main(["simulate", "--config", RAYLEIGH_CFG, "--count", "1",
+                   "--seed", "1", "--validate"])
+        assert rc == 2
+        assert "count: --validate needs at least 2 samples, got 1" in capsys.readouterr().err
 
     def test_small_count_guard_scales(self, capsys):
         rc = main(["simulate", "--config", RAYLEIGH_CFG, "--count", "100",
@@ -314,9 +321,10 @@ class TestGmgf:
                      "--p", "1", "--s", "1"]) == 2
 
 
-def test_only_fit_loads_the_optimizer(tmp_path):
-    # scipy.optimize (and the scipy.linalg/sparse/fft it pulls in) is most of
-    # the start-up cost of a command, so only a solve may import it
+def test_no_command_loads_the_optimizer(tmp_path):
+    # scipy.optimize (and the scipy.linalg/sparse/fft it pulls in) and the
+    # other heavy scipy subpackages are most of a command's start-up cost;
+    # no command needs them, fit included
     data = tmp_path / "d.csv"
     xs = np.log(sh.sample_inverse_gamma(5.0, 1.0, 300, seed=5))
     data.write_text("value\n" + "".join(f"{x:.10g}\n" for x in xs))
@@ -331,14 +339,13 @@ def test_only_fit_loads_the_optimizer(tmp_path):
             ["outage", "--config", cfg, "--grid-db=-20:10:0", "--asymptotic"],
             ["simulate", "--config", cfg, "--count", "4000", "--seed", "3", "--validate"],
             ["gmgf", "--fading", '{{"type":"rician","k_r":2}}', "--p", "1.5", "--s=-1", "--check"],
+            ["fit", "--data", {str(data)!r}, "--scale", "ln", "--families",
+             "lognormal,gamma,inverse_gaussian,inverse_gamma", "--integer-m", "--multistart", "1"],
         ):
             assert cli.main(argv) == 0, argv
         heavy = ("scipy.optimize", "scipy.linalg", "scipy.integrate", "scipy.stats")
         loaded = [name for name in heavy if name in sys.modules]
         assert not loaded, loaded
-        argv = ["fit", "--data", {str(data)!r}, "--scale", "ln",
-                "--families", "inverse_gamma", "--multistart", "1"]
-        assert cli.main(argv) == 0
     """)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

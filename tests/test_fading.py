@@ -142,6 +142,25 @@ class TestGmgf:
         ref = [[fa.gmgf_log(model, float(pi), float(si)) for si in s] for pi in p[:, 0]]
         np.testing.assert_allclose(got, ref, rtol=1e-9, atol=1e-12)
 
+    @pytest.mark.parametrize("model, p, s", [
+        (fa.Hoyt(0.5), 2000.0, -1.0),
+        (fa.Hoyt(0.5), 6000.0, -0.01),
+        (fa.EtaMu(0.4, 1.2), 1000.0, -0.01),
+        (fa.EtaMu(0.05, 0.7), 2000.0, -0.01),
+        (fa.KappaMuShadowed(10.0, 1.5, 0.6), 1000.0, -0.001),
+    ], ids=lambda v: type(v).__name__ if not isinstance(v, float) else str(v))
+    def test_overflowing_hyp2f1_is_nan_not_inf(self, model, p, s):
+        # 2F1 overflows double precision there, while ln phi is finite (mpmath:
+        # 12230.80 for Hoyt at p = 2000, s = -1): the log is unknown, so it is NaN, a
+        # series reaching that term raises, and gmgf raises
+        assert math.isnan(fa.gmgf_log(model, p, s))
+        with pytest.raises(nm.ConvergenceError, match="lost all precision"):
+            fa.gmgf(model, p, s)
+        # in an array only the overflowing entry turns NaN
+        low, high = fa.gmgf_log(model, np.array([3.0, p]), s)
+        assert low == pytest.approx(fa.gmgf_log(model, 3.0, s), rel=1e-12)
+        assert math.isnan(high)
+
     def test_domain(self):
         with pytest.raises(ValueError):
             fa.gmgf(fa.Rayleigh(), -0.5, -1.0)

@@ -124,6 +124,113 @@ class TestFit:
             ft.fit("gamma", ecdf, integer_m=True)
 
 
+def central_jacobian(quad, make, x, h=1e-5):
+    """Residual Jacobian by central differences of the library's log-domain CDF."""
+    cols = []
+    for k in range(len(x)):
+        e = np.zeros(len(x))
+        e[k] = h
+        up = sh.log_domain_cdf(make(x + e), quad.nodes)
+        down = sh.log_domain_cdf(make(x - e), quad.nodes)
+        cols.append(-np.sqrt(quad.weights) * (up - down) / (2.0 * h))
+    return np.column_stack(cols)
+
+
+def rosenbrock(x):
+    return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+
+
+def rosenbrock_jacobian(x, r):
+    return np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
+
+
+class TestSolver:
+    ECDF = ig_log_ecdf(3.0, 2.0, 500, seed=31)
+    INTEGER_ROW = (lambda c: sh.InverseGamma(m=3.0, omega_i=math.exp(c[0])),
+                   ((math.log(1e-6), math.log(1e6)),), (1.0,))
+
+    @pytest.mark.parametrize("family", sorted(ft.FAMILIES) + ["inverse_gamma_integer"])
+    def test_jacobian_matches_central_differences(self, family):
+        if family == "inverse_gamma_integer":
+            make, bounds, scale = self.INTEGER_ROW
+            x = np.array([math.log(2.3)])
+        else:
+            fam = ft.FAMILIES[family]
+            make, bounds, scale = fam.make, fam.bounds, fam.scale
+            x = np.add(fam.start(*ft._log_moments(self.ECDF)), (0.3, -0.2))
+        quad = ft._CvmQuadrature(self.ECDF, 5.0)
+        residuals, jacobian = ft._objective(quad, make, bounds, scale)
+        got = jacobian(x, residuals(x))
+        want = central_jacobian(quad, make, x)
+        # both columns, relative to each column's largest entry
+        err = np.abs(got - want).max(axis=0) / np.abs(want).max(axis=0)
+        assert np.all(err < 1e-5), err
+        # along the scale direction the derivative is exact (-y f(y))
+        along, want_along = got @ scale, want @ scale
+        assert np.abs(along - want_along).max() < 1e-8 * np.abs(want_along).max()
+
+    @pytest.mark.parametrize("family", sorted(ft.FAMILIES))
+    def test_solver_stays_in_box_from_a_bound(self, family):
+        fam = ft.FAMILIES[family]
+        lo, hi = np.transpose(fam.bounds)
+        seen = []
+
+        def make(coords):
+            seen.append(np.array(coords, dtype=float))
+            return fam.make(coords)
+
+        mid = np.clip(fam.start(*ft._log_moments(self.ECDF)), lo, hi)
+        starts = [lo, hi, (hi[0], mid[1]), (mid[0], hi[1]), (lo[0], mid[1])]
+        quad = ft._CvmQuadrature(self.ECDF, 5.0)
+        res = ft._solve(family, quad, make, fam.bounds, fam.scale, starts)
+        seen = np.array(seen)
+        assert np.all((seen >= lo) & (seen <= hi))
+        # solves started on the upper bounds, whose forward differences
+        # therefore stepped back inside
+        assert np.any(seen[:, 0] == hi[0]) and np.any(seen[:, 1] == hi[1])
+        assert res.converged
+
+    def test_converges_to_box_constrained_minimum(self):
+        # Rosenbrock's minimum (1, 1) lies outside the box; the constrained
+        # one is on the face x0 = 0.5, where it starts
+        lo, hi = np.array([-2.0, -2.0]), np.array([0.5, 2.0])
+        seen = []
+
+        def residuals(x):
+            seen.append(x.copy())
+            return rosenbrock(x)
+
+        x, cost, njev, converged = ft._levenberg_marquardt(
+            residuals, rosenbrock_jacobian, (0.5, -1.0), lo, hi)
+        assert converged
+        assert np.all((np.array(seen) >= lo) & (np.array(seen) <= hi))
+        assert x == pytest.approx([0.5, 0.25], abs=1e-6)
+        assert 2.0 * cost == pytest.approx(0.25, rel=1e-9)
+
+    def test_budget_exhausted_is_not_converged(self, monkeypatch):
+        box = np.array([-5.0, -5.0]), np.array([5.0, 5.0])
+        calls = []
+
+        def residuals(x):
+            calls.append(1)
+            return rosenbrock(x)
+
+        monkeypatch.setattr(ft, "_NFEV_PER_COORD", 2)
+        x, cost, njev, converged = ft._levenberg_marquardt(
+            residuals, rosenbrock_jacobian, (-1.2, 1.0), *box)
+        assert not converged
+        assert len(calls) == 4
+        res = ft.fit("inverse_gamma", self.ECDF, multistart=1)
+        assert not res.converged
+
+    def test_multistart_beyond_the_lattice_is_rejected(self):
+        with pytest.raises(ValueError, match="13-point start lattice"):
+            ft.fit("gamma", self.ECDF, multistart=14)
+        with pytest.raises(ValueError, match="13-point start lattice"):
+            ft.compare_families(self.ECDF, ["gamma"], multistart=14)
+        assert ft.fit("gamma", self.ECDF, multistart=13).converged
+
+
 class TestCompareFamilies:
     def test_true_family_ranks_first(self):
         ecdf = ig_log_ecdf(5.0, 1.0, 20000, seed=3)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -20,15 +21,15 @@ import numpy as np
 from . import composite, fading, fitting, montecarlo
 from .numerics import DEFAULT_TOL, ConvergenceError, integrate_semi_infinite
 
-_FADING_SCHEMA = {
-    "rayleigh": (fading.Rayleigh, ()),
-    "rician": (fading.Rician, ("k_r",)),
-    "nakagami": (fading.NakagamiM, ("m_f",)),
-    "hoyt": (fading.Hoyt, ("q",)),
-    "kappa-mu": (fading.KappaMu, ("kappa", "mu")),
-    "eta-mu": (fading.EtaMu, ("eta", "mu")),
-    "kappa-mu-shadowed": (fading.KappaMuShadowed, ("kappa", "mu", "m_f")),
-    "twdp": (fading.TWDP, ("k_r", "delta")),
+_FADING_TYPES = {
+    "rayleigh": fading.Rayleigh,
+    "rician": fading.Rician,
+    "nakagami": fading.NakagamiM,
+    "hoyt": fading.Hoyt,
+    "kappa-mu": fading.KappaMu,
+    "eta-mu": fading.EtaMu,
+    "kappa-mu-shadowed": fading.KappaMuShadowed,
+    "twdp": fading.TWDP,
 }
 
 _STRATEGIES = {s.value: s for s in composite.Strategy}
@@ -61,22 +62,23 @@ def _parse_fading(doc: dict) -> fading.FadingModel:
     if "type" not in doc:
         raise ConfigError("fading: missing required key 'type'")
     kind = doc["type"]
-    if kind not in _FADING_SCHEMA:
+    if kind not in _FADING_TYPES:
         raise ConfigError(
-            f"fading.type: unknown type {kind!r}; choose from {sorted(_FADING_SCHEMA)}"
+            f"fading.type: unknown type {kind!r}; choose from {sorted(_FADING_TYPES)}"
         )
-    cls, required = _FADING_SCHEMA[kind]
-    allowed = set(required) | {"type", "omega_x"}
+    cls = _FADING_TYPES[kind]
+    # the model's fields are its keys; those without a default are required
+    fields = dataclasses.fields(cls)
+    allowed = {"type"} | {f.name for f in fields}
     for key in doc:
         if key not in allowed:
             raise ConfigError(f"fading: unknown key {key!r} for type {kind!r}")
     kwargs = {}
-    for key in required:
-        if key not in doc:
-            raise ConfigError(f"fading.{key}: required for type {kind!r}")
-        kwargs[key] = _as_number(doc[key], f"fading.{key}")
-    if "omega_x" in doc:
-        kwargs["omega_x"] = _as_number(doc["omega_x"], "fading.omega_x")
+    for f in fields:
+        if f.name in doc:
+            kwargs[f.name] = _as_number(doc[f.name], f"fading.{f.name}")
+        elif f.default is dataclasses.MISSING:
+            raise ConfigError(f"fading.{f.name}: required for type {kind!r}")
     try:
         return cls(**kwargs)
     except ValueError as exc:

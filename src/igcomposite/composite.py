@@ -118,8 +118,10 @@ class FTerm:
 
 @_frozen
 class FMixture:
+    """F components whose weights are probabilities: they sum to
+    1 - truncation_error_bound."""
+
     terms: tuple[FTerm, ...]
-    prefactor: float
     truncation_error_bound: float
 
 
@@ -165,13 +167,13 @@ def mixture_of_f(model: CompositeModel, tol: Tolerance = DEFAULT_TOL) -> FMixtur
         FTerm(t.weight, FDistParams(model.m, t.shape, t.omega * model.w_bar))
         for t in gm.terms
     )
-    return FMixture(terms, gm.prefactor, gm.truncation_error_bound)
+    return FMixture(terms, gm.truncation_error_bound)
 
 
 def _resolve(model: CompositeModel, strategy: Strategy) -> Strategy:
     if isinstance(strategy, str):
         strategy = Strategy(strategy)
-    mixture_ok = isinstance(model.baseline, fading.MIXTURE_MODELS)
+    mixture_ok = hasattr(model.baseline, "mixture")
     if strategy is Strategy.AUTO:
         if mixture_ok:
             return Strategy.MIXTURE
@@ -199,9 +201,7 @@ def composite_pdf(
     strat = _resolve(model, strategy)
     if strat is Strategy.MIXTURE:
         mix = mixture_of_f(model, tol)
-        out = mix.prefactor * sum(
-            t.weight * np.asarray(f_pdf(t.params, arr)) for t in mix.terms
-        )
+        out = sum(t.weight * np.asarray(f_pdf(t.params, arr)) for t in mix.terms)
         return _maybe_scalar(np.asarray(out), u)
     m, wb = model.m, model.w_bar
     m_eval = float(round(m)) if strat is Strategy.GMGF_INTEGER else m
@@ -228,7 +228,7 @@ def composite_cdf(
     strat = _resolve(model, strategy)
     if strat is Strategy.MIXTURE:
         mix = mixture_of_f(model, tol)
-        out = mix.prefactor * _f_mixture_cdf(mix.terms, arr)
+        out = _f_mixture_cdf(mix.terms, arr)
         return _maybe_scalar(np.clip(out, 0.0, 1.0), u)
     flat = np.atleast_1d(arr)
     vals = np.zeros(flat.shape)

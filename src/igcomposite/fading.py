@@ -1,18 +1,20 @@
 """Baseline fast-fading models of the received signal power.
 
-Each model exposes: a PDF, a generalized MGF phi^(p)(s) = E[X^p e^{sX}]
-(a closed form for every model but TWDP, whose GMGF is one periodic
-integral over the phase angle), a gamma-mixture representation where one
-exists, small-argument CDF power-law parameters, and a physically
-constructed sampler. All power variables carry mean omega_x; evaluations
-are pure functions.
+One frozen dataclass per baseline holds everything the composite needs of
+it: the power PDF (`pdf`), the generalized MGF phi^(p)(s) = E[X^p e^{sX}]
+(`gmgf_log`; a closed form for every model but TWDP, whose GMGF is one
+periodic integral over the phase angle), the small-argument power law of
+the PDF (`tail`), a physically constructed sampler (`draw`) and, for the
+six baselines that have one, a gamma-mixture representation (`mixture`).
+The module functions of the same names dispatch to these methods. All
+power variables carry mean omega_x; evaluations are pure functions.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 import scipy.special as sc
@@ -47,31 +49,175 @@ __all__ = [
     "tail_params",
     "sample",
     "draw",
-    "MIXTURE_MODELS",
 ]
 
+# components the gamma-mixture loop may build before it gives up
+_MIXTURE_TERMS = 5000
+
 
 @dataclass(frozen=True)
-class Rayleigh:
+class GammaTerm:
+    weight: float
+    shape: float
+    omega: float
+
+
+@dataclass(frozen=True)
+class GammaMixture:
+    """Gamma components whose weights are probabilities: they sum to
+    1 - truncation_error_bound."""
+
+    terms: tuple[GammaTerm, ...]
+    truncation_error_bound: float
+
+
+@dataclass(frozen=True)
+class TailParams:
+    """Small-x power law f(x) ~ (alpha/omega_x) (x/omega_x)^beta, so that
+    F(x) ~ (alpha/(beta+1)) (x/omega_x)^(beta+1)."""
+
+    alpha: float
+    beta: float
+
+
+class _Baseline:
+    """Argument handling shared by every baseline. A model supplies
+    `_pdf(x, tol)` and `_gmgf_log(p, s, tol)` on float arrays, plus `tail()`
+    and `draw(rng, count)`; `mixture(tol)` only where it has one. A baseline
+    whose law is a special case of another model names that model as
+    `_law` instead and keeps only its own sampler (and mixture)."""
+
+    def pdf(self, x, tol: Tolerance = DEFAULT_TOL):
+        """Power PDF at x > 0; vectorized (TWDP point by point, as its PDF
+        is a periodic integral)."""
+        arr = np.asarray(x, dtype=float)
+        if np.any(arr <= 0):
+            raise ValueError("fading.pdf: support is x > 0")
+        out = self._pdf(arr, tol)
+        return float(out) if np.ndim(x) == 0 else out
+
+    def gmgf_log(self, p, s, tol: Tolerance = DEFAULT_TOL):
+        """ln phi^(p)(s) for p >= 0, s <= 0; vectorized over p and s, which
+        broadcast together."""
+        out = np.asarray(self._gmgf_log(
+            np.asarray(p, dtype=float), np.asarray(s, dtype=float), tol
+        ))
+        return float(out) if out.ndim == 0 else out
+
+    def _pdf(self, x, tol):
+        return self._law._pdf(x, tol)
+
+    def _gmgf_log(self, p, s, tol):
+        return self._law._gmgf_log(p, s, tol)
+
+    def tail(self) -> TailParams:
+        return self._law.tail()
+
+
+def _check_power(omega_x: float) -> None:
+    if not omega_x > 0:
+        raise ValueError(f"omega_x must be > 0, got {omega_x}")
+
+
+# ---------------------------------------------------------------------------
+# Shared pieces: the gamma law, log-space special functions, the mixture loop
+# ---------------------------------------------------------------------------
+
+def _gamma_pdf(k: float, om: float, x: np.ndarray) -> np.ndarray:
+    """Gamma PDF of shape k and mean om (the Nakagami-m power law)."""
+    return np.exp(k * np.log(k / om) + (k - 1.0) * np.log(x) - k * x / om - sc.gammaln(k))
+
+
+def _gamma_gmgf_log(k: float, om: float, p: np.ndarray, s: np.ndarray) -> np.ndarray:
+    return sc.gammaln(p + k) - sc.gammaln(k) + p * math.log(om / k) \
+        - (p + k) * np.log1p(-s * om / k)
+
+
+def _one_gamma(k: float, om: float) -> GammaMixture:
+    return GammaMixture((GammaTerm(1.0, k, om),), 0.0)
+
+
+def _ln_hyp1f1(a, b: float, w) -> np.ndarray:
+    """ln 1F1(a; b; w) for w >= 0. From w = 600 on, where 1F1 nears
+    overflow, by Kummer's transformation 1F1(a; b; w) = e^w 1F1(b-a; b; -w),
+    which stays exact at any a (the large-w asymptotic series does not once
+    a^2 is comparable to w). NaN where neither form is finite, for the
+    reason given at `_ln_hyp2f1`."""
+    a, w = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(w, dtype=float))
+    out = np.empty(w.shape)
+    small = w < 600.0
+    with np.errstate(divide="ignore"):
+        out[small] = np.log(sc.hyp1f1(a[small], b, w[small]))
+        out[~small] = w[~small] + np.log(sc.hyp1f1(b - a[~small], b, -w[~small]))
+    return np.where(np.isfinite(out), out, np.nan)
+
+
+def _ln_hyp2f1(a, b, c, z) -> np.ndarray:
+    """ln 2F1(a, b; c; z), NaN where 2F1 overflows double precision: its
+    logarithm is then unknown, not infinite, so a series that reaches such
+    a term raises instead of summing an infinity."""
+    out = np.log(sc.hyp2f1(a, b, c, z))
+    return np.where(np.isfinite(out), out, np.nan)
+
+
+def _gamma_mixture(model, ln_weight: Callable[[int], float], shape: float,
+                   scale: float, tol: Tolerance) -> GammaMixture:
+    """The one gamma-mixture loop: component i has weight exp(ln_weight(i)),
+    shape `shape` + i and mean (shape + i) * scale. Each model's ln_weight
+    carries its normalization, so the weights are probabilities, no
+    intermediate overflows, and 1 - (their running sum) is the mass still
+    left out; the loop stops once that is below tol.rel_tol / 100."""
+    cap = tol.rel_tol * 1e-2
+    terms = []
+    mass = 0.0
+    for i in range(_MIXTURE_TERMS):
+        w = math.exp(ln_weight(i))
+        terms.append(GammaTerm(w, shape + i, (shape + i) * scale))
+        mass += w
+        if abs(1.0 - mass) < cap:
+            return GammaMixture(tuple(terms), abs(1.0 - mass))
+    raise ConvergenceError(
+        f"{model}: gamma mixture weights did not converge in {_MIXTURE_TERMS} terms",
+        estimate=mass,
+        error_bound=abs(1.0 - mass),
+    )
+
+
+def _poisson_ln_weight(rate: float) -> Callable[[int], float]:
+    """i -> ln of the Poisson(rate) probability of i, for rate > 0."""
+    ln_rate = math.log(rate)
+    return lambda i: i * ln_rate - rate - math.lgamma(i + 1.0)
+
+
+# ---------------------------------------------------------------------------
+# Baselines
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Rayleigh(_Baseline):
+    """Diffuse scatter only: the Nakagami-m law at m_f = 1, sampled as a
+    zero-mean complex Gaussian."""
+
     omega_x: float = 1.0
 
     def __post_init__(self):
         _check_power(self.omega_x)
 
+    @property
+    def _law(self) -> NakagamiM:
+        return NakagamiM(1.0, self.omega_x)
+
+    def mixture(self, tol: Tolerance = DEFAULT_TOL) -> GammaMixture:
+        return self._law.mixture(tol)
+
+    def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        a = rng.normal(scale=math.sqrt(self.omega_x / 2.0), size=count)
+        b = rng.normal(scale=math.sqrt(self.omega_x / 2.0), size=count)
+        return a * a + b * b
+
 
 @dataclass(frozen=True)
-class Rician:
-    k_r: float
-    omega_x: float = 1.0
-
-    def __post_init__(self):
-        _check_power(self.omega_x)
-        if not self.k_r >= 0:
-            raise ValueError(f"Rician: k_r must be >= 0, got {self.k_r}")
-
-
-@dataclass(frozen=True)
-class NakagamiM:
+class NakagamiM(_Baseline):
     m_f: float
     omega_x: float = 1.0
 
@@ -80,20 +226,25 @@ class NakagamiM:
         if not self.m_f >= 0.5:
             raise ValueError(f"NakagamiM: m_f must be >= 0.5, got {self.m_f}")
 
+    def _pdf(self, x, tol):
+        return _gamma_pdf(self.m_f, self.omega_x, x)
+
+    def _gmgf_log(self, p, s, tol):
+        return _gamma_gmgf_log(self.m_f, self.omega_x, p, s)
+
+    def mixture(self, tol: Tolerance = DEFAULT_TOL) -> GammaMixture:
+        return _one_gamma(self.m_f, self.omega_x)
+
+    def tail(self) -> TailParams:
+        mf = self.m_f
+        return TailParams(math.exp(mf * math.log(mf) - sc.gammaln(mf)), mf - 1.0)
+
+    def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        return rng.gamma(shape=self.m_f, scale=self.omega_x / self.m_f, size=count)
+
 
 @dataclass(frozen=True)
-class Hoyt:
-    q: float
-    omega_x: float = 1.0
-
-    def __post_init__(self):
-        _check_power(self.omega_x)
-        if not 0 < self.q <= 1:
-            raise ValueError(f"Hoyt: q must be in (0, 1], got {self.q}")
-
-
-@dataclass(frozen=True)
-class KappaMu:
+class KappaMu(_Baseline):
     kappa: float
     mu: float
     omega_x: float = 1.0
@@ -105,9 +256,95 @@ class KappaMu:
         if not self.mu > 0:
             raise ValueError(f"KappaMu: mu must be > 0, got {self.mu}")
 
+    def _pdf(self, x, tol):
+        kap, mu, om = self.kappa, self.mu, self.omega_x
+        if kap == 0:
+            return _gamma_pdf(mu, om, x)
+        z = 2.0 * mu * np.sqrt(kap * (1.0 + kap) * x / om)
+        lead = (
+            np.log(mu)
+            + 0.5 * (mu + 1.0) * np.log(1.0 + kap)
+            - 0.5 * (mu - 1.0) * np.log(kap)
+            - mu * kap
+            - np.log(om)
+            + 0.5 * (mu - 1.0) * np.log(x / om)
+            - mu * (1.0 + kap) * x / om
+            + z
+        )
+        return np.exp(lead) * sc.ive(mu - 1.0, z)
+
+    def _gmgf_log(self, p, s, tol):
+        kap, mu, om = self.kappa, self.mu, self.omega_x
+        if kap == 0:
+            return _gamma_gmgf_log(mu, om, p, s)
+        den = mu * (1.0 + kap) - s * om
+        return (
+            sc.gammaln(mu + p)
+            - sc.gammaln(mu)
+            + p * math.log(om)
+            + mu * math.log(mu)
+            + mu * math.log(1.0 + kap)
+            - mu * kap
+            - (mu + p) * np.log(den)
+            + _ln_hyp1f1(mu + p, mu, mu * mu * kap * (1.0 + kap) / den)
+        )
+
+    def mixture(self, tol: Tolerance = DEFAULT_TOL) -> GammaMixture:
+        # Poisson(mu kappa) weights; component i has shape mu + i
+        kap, mu = self.kappa, self.mu
+        if kap == 0:
+            return _one_gamma(mu, self.omega_x)
+        return _gamma_mixture(self, _poisson_ln_weight(mu * kap), mu,
+                              self.omega_x / (mu * (1.0 + kap)), tol)
+
+    def tail(self) -> TailParams:
+        kap, mu = self.kappa, self.mu
+        return TailParams(
+            math.exp(mu * math.log(mu * (1.0 + kap)) - mu * kap - sc.gammaln(mu)),
+            mu - 1.0,
+        )
+
+    def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        kap, mu = self.kappa, self.mu
+        idx = rng.poisson(mu * kap, size=count) if kap > 0 else np.zeros(count)
+        return rng.gamma(shape=mu + idx, scale=self.omega_x / (mu * (1.0 + kap)), size=count)
+
 
 @dataclass(frozen=True)
-class EtaMu:
+class Rician(_Baseline):
+    """A fixed specular ray plus diffuse scatter. Its law is kappa-mu at
+    mu = 1 and kappa = k_r; the sampler is its own."""
+
+    k_r: float
+    omega_x: float = 1.0
+
+    def __post_init__(self):
+        _check_power(self.omega_x)
+        if not self.k_r >= 0:
+            raise ValueError(f"Rician: k_r must be >= 0, got {self.k_r}")
+
+    @property
+    def _law(self) -> KappaMu:
+        return KappaMu(self.k_r, 1.0, self.omega_x)
+
+    def mixture(self, tol: Tolerance = DEFAULT_TOL) -> GammaMixture:
+        # the kappa-mu loop, built here so that its errors name Rician
+        K = self.k_r
+        if K == 0:
+            return _one_gamma(1.0, self.omega_x)
+        return _gamma_mixture(self, _poisson_ln_weight(K), 1.0, self.omega_x / (1.0 + K), tol)
+
+    def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        K, om = self.k_r, self.omega_x
+        sigma = math.sqrt(om / (2.0 * (1.0 + K)))
+        v = math.sqrt(K * om / (1.0 + K))
+        a = v + rng.normal(scale=sigma, size=count)
+        b = rng.normal(scale=sigma, size=count)
+        return a * a + b * b
+
+
+@dataclass(frozen=True)
+class EtaMu(_Baseline):
     eta: float
     mu: float
     omega_x: float = 1.0
@@ -119,9 +356,87 @@ class EtaMu:
         if not self.mu > 0:
             raise ValueError(f"EtaMu: mu must be > 0, got {self.mu}")
 
+    def _pdf(self, x, tol):
+        eta, mu, om = self.eta, self.mu, self.omega_x
+        if abs(eta - 1.0) < 1e-12:
+            return _gamma_pdf(2.0 * mu, om, x)
+        h = (2.0 + 1.0 / eta + eta) / 4.0
+        big_h = (1.0 / eta - eta) / 4.0
+        z = 2.0 * mu * big_h * x / om
+        lead = (
+            np.log(2.0) + 0.5 * np.log(np.pi)
+            + (mu + 0.5) * np.log(mu)
+            + mu * np.log(h)
+            - sc.gammaln(mu)
+            - (mu - 0.5) * np.log(big_h)
+            - (mu + 0.5) * np.log(om)
+            + (mu - 0.5) * np.log(x)
+            - 2.0 * mu * h * x / om
+            + z
+        )
+        return np.exp(lead) * sc.ive(mu - 0.5, z)
+
+    def _gmgf_log(self, p, s, tol):
+        eta, mu, om = self.eta, self.mu, self.omega_x
+        den = mu * (eta + 1.0) / eta - s * om
+        return (
+            2.0 * mu * math.log(mu)
+            + sc.gammaln(p + 2.0 * mu)
+            - sc.gammaln(2.0 * mu)
+            + p * math.log(om)
+            + 2.0 * mu * math.log(eta + 1.0)
+            - mu * math.log(eta)
+            - (p + 2.0 * mu) * np.log(den)
+            + _ln_hyp2f1(
+                mu,
+                2.0 * mu + p,
+                2.0 * mu,
+                mu * (1.0 - eta * eta) / (mu * (1.0 + eta) - s * eta * om),
+            )
+        )
+
+    def tail(self) -> TailParams:
+        eta, mu = self.eta, self.mu
+        h = (2.0 + 1.0 / eta + eta) / 4.0
+        return TailParams(
+            math.exp(2.0 * mu * math.log(2.0 * mu) + mu * math.log(h) - sc.gammaln(2.0 * mu)),
+            2.0 * mu - 1.0,
+        )
+
+    def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        eta, mu, om = self.eta, self.mu, self.omega_x
+        g1 = rng.gamma(shape=mu, scale=eta * om / (mu * (1.0 + eta)), size=count)
+        g2 = rng.gamma(shape=mu, scale=om / (mu * (1.0 + eta)), size=count)
+        return g1 + g2
+
 
 @dataclass(frozen=True)
-class KappaMuShadowed:
+class Hoyt(_Baseline):
+    """Nakagami-q fading: in-phase and quadrature Gaussians of unequal
+    power. Its law is eta-mu (format 1) at eta = q^2 and mu = 1/2; only the
+    sampler is its own."""
+
+    q: float
+    omega_x: float = 1.0
+
+    def __post_init__(self):
+        _check_power(self.omega_x)
+        if not 0 < self.q <= 1:
+            raise ValueError(f"Hoyt: q must be in (0, 1], got {self.q}")
+
+    @property
+    def _law(self) -> EtaMu:
+        return EtaMu(self.q * self.q, 0.5, self.omega_x)
+
+    def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        q, om = self.q, self.omega_x
+        a = rng.normal(scale=math.sqrt(om / (1.0 + q * q)), size=count)
+        b = rng.normal(scale=math.sqrt(q * q * om / (1.0 + q * q)), size=count)
+        return a * a + b * b
+
+
+@dataclass(frozen=True)
+class KappaMuShadowed(_Baseline):
     kappa: float
     mu: float
     m_f: float
@@ -136,9 +451,77 @@ class KappaMuShadowed:
         if not self.m_f > 0:
             raise ValueError(f"KappaMuShadowed: m_f must be > 0, got {self.m_f}")
 
+    def _pdf(self, x, tol):
+        kap, mu, mf, om = self.kappa, self.mu, self.m_f, self.omega_x
+        if kap == 0:
+            return _gamma_pdf(mu, om, x)
+        w = mu * mu * kap * (1.0 + kap) / (mu * kap + mf) * x / om
+        lead = (
+            mu * np.log(mu)
+            + mf * np.log(mf)
+            + mu * np.log(1.0 + kap)
+            - sc.gammaln(mu)
+            - np.log(om)
+            - mf * np.log(mu * kap + mf)
+            + (mu - 1.0) * np.log(x / om)
+            - mu * (1.0 + kap) * x / om
+        )
+        return np.exp(lead + _ln_hyp1f1(mf, mu, w))
+
+    def _gmgf_log(self, p, s, tol):
+        kap, mu, mf, om = self.kappa, self.mu, self.m_f, self.omega_x
+        if kap == 0:
+            return _gamma_gmgf_log(mu, om, p, s)
+        den = mu * (1.0 + kap) - s * om
+        return (
+            sc.gammaln(mu + p)
+            - sc.gammaln(mu)
+            + mf * math.log(mf)
+            + p * math.log(om)
+            + mu * math.log(mu)
+            + mu * math.log(1.0 + kap)
+            - mf * math.log(mu * kap + mf)
+            - (mu + p) * np.log(den)
+            + _ln_hyp2f1(
+                mf, mu + p, mu, mu * mu * kap * (1.0 + kap) / (mu * kap + mf) / den
+            )
+        )
+
+    def mixture(self, tol: Tolerance = DEFAULT_TOL) -> GammaMixture:
+        # negative-binomial(m_f, mu kappa / (mu kappa + m_f)) weights;
+        # component i has shape mu + i
+        kap, mu, mf = self.kappa, self.mu, self.m_f
+        if kap == 0:
+            return _one_gamma(mu, self.omega_x)
+        ln_ratio = math.log(mu * kap) - math.log(mu * kap + mf)
+        base = mf * (math.log(mf) - math.log(mu * kap + mf)) - math.lgamma(mf)
+
+        def ln_weight(i: int) -> float:
+            return math.lgamma(mf + i) - math.lgamma(i + 1.0) + i * ln_ratio + base
+
+        return _gamma_mixture(self, ln_weight, mu, self.omega_x / (mu * (1.0 + kap)), tol)
+
+    def tail(self) -> TailParams:
+        kap, mu, mf = self.kappa, self.mu, self.m_f
+        return TailParams(
+            math.exp(
+                mu * math.log(mu * (1.0 + kap)) + mf * math.log(mf)
+                - sc.gammaln(mu) - mf * math.log(mu * kap + mf)
+            ),
+            mu - 1.0,
+        )
+
+    def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        kap, mu, mf = self.kappa, self.mu, self.m_f
+        if kap > 0:
+            idx = rng.negative_binomial(mf, mf / (mu * kap + mf), size=count)
+        else:
+            idx = np.zeros(count)
+        return rng.gamma(shape=mu + idx, scale=self.omega_x / (mu * (1.0 + kap)), size=count)
+
 
 @dataclass(frozen=True)
-class TWDP:
+class TWDP(_Baseline):
     """Two specular rays plus diffuse scatter; k_r is the specular-to-diffuse
     power ratio and delta in [0, 1] the power balance of the two rays."""
 
@@ -153,299 +536,131 @@ class TWDP:
         if not 0 <= self.delta <= 1:
             raise ValueError(f"TWDP: delta must be in [0, 1], got {self.delta}")
 
+    def _pdf(self, x, tol):
+        if self.k_r == 0:
+            return _gamma_pdf(1.0, self.omega_x, x)
+        flat = np.atleast_1d(x)
+        return np.array([self._pdf_point(u, tol) for u in flat]).reshape(x.shape)
+
+    def _pdf_point(self, u: float, tol: Tolerance) -> float:
+        K, D, om = self.k_r, self.delta, self.omega_x
+        c = K * (1.0 + K) / om
+        zmax = 2.0 * math.sqrt(c * u * (1.0 + D))
+
+        def integrand(alpha: np.ndarray) -> np.ndarray:
+            z = 2.0 * np.sqrt(c * u * (1.0 + D * np.cos(alpha)))
+            return np.exp(-K * D * np.cos(alpha) + z - zmax) * sc.i0e(z)
+
+        val, _ = integrate_finite(integrand, 0.0, 2.0 * math.pi, tol, periodic=True)
+        ln_pdf = (
+            math.log((1.0 + K) / (2.0 * math.pi * om))
+            - (1.0 + K) * u / om
+            - K
+            + zmax
+            + math.log(val)
+        )
+        return math.exp(ln_pdf) if ln_pdf > -745.0 else 0.0
+
+    def _gmgf_log(self, p, s, tol):
+        """One periodic integral per (p, s) pair of the broadcast p and s;
+        the pairs share the phase grid. (The Laplace transform of the Bessel
+        kernel in the integral-form PDF reduces the defining double integral
+        to one over the phase angle.)"""
+        K, D, om = self.k_r, self.delta, self.omega_x
+        if K == 0:
+            return _gamma_gmgf_log(1.0, om, p, s)
+        p, s = np.broadcast_arrays(p, s)
+        den = 1.0 + K - s * om
+        c = K * (1.0 + K) / den
+
+        def integrand(alpha: np.ndarray) -> np.ndarray:
+            cos = np.cos(alpha).reshape((-1,) + (1,) * p.ndim)
+            return np.exp(-K * D * cos) * sc.hyp1f1(p + 1.0, 1.0, c * (1.0 + D * cos))
+
+        val, _ = integrate_finite(integrand, 0.0, 2.0 * math.pi, tol, periodic=True)
+        return (
+            math.log(1.0 + K)
+            - K
+            + sc.gammaln(p + 1.0)
+            - math.log(2.0 * math.pi)
+            + p * math.log(om)
+            - (p + 1.0) * np.log(den)
+            + np.log(val)
+        )
+
+    def mixture(self, tol: Tolerance = DEFAULT_TOL) -> GammaMixture:
+        K, D, om = self.k_r, self.delta, self.omega_x
+        if K == 0:
+            return _one_gamma(1.0, om)
+        return _gamma_mixture(self, lambda j: twdp_ln_weight(j, K, D, tol), 1.0,
+                              om / (1.0 + K), tol)
+
+    def tail(self) -> TailParams:
+        # (1 + K) e^-K I_0(K delta), with I_0 scaled so that no factor overflows
+        K, D = self.k_r, self.delta
+        return TailParams((1.0 + K) * math.exp(K * (D - 1.0)) * float(sc.i0e(K * D)), 0.0)
+
+    def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        v1, v2, sigma2 = twdp_specular_amplitudes(self)
+        sigma = math.sqrt(sigma2)
+        phi1 = rng.uniform(0.0, 2.0 * math.pi, size=count)
+        phi2 = rng.uniform(0.0, 2.0 * math.pi, size=count)
+        re = v1 * np.cos(phi1) + v2 * np.cos(phi2) + rng.normal(scale=sigma, size=count)
+        im = v1 * np.sin(phi1) + v2 * np.sin(phi2) + rng.normal(scale=sigma, size=count)
+        return re * re + im * im
+
 
 FadingModel = Union[
     Rayleigh, Rician, NakagamiM, Hoyt, KappaMu, EtaMu, KappaMuShadowed, TWDP
 ]
 
-MIXTURE_MODELS = (Rayleigh, NakagamiM, Rician, KappaMu, KappaMuShadowed, TWDP)
 
+def twdp_ln_weight(j: int, K: float, D: float, tol: Tolerance = DEFAULT_TOL) -> float:
+    """ln of the j-th TWDP mixture weight, for K > 0.
 
-def _check_power(omega_x: float) -> None:
-    if not omega_x > 0:
-        raise ValueError(f"omega_x must be > 0, got {omega_x}")
-
-
-@dataclass(frozen=True)
-class GammaTerm:
-    weight: float
-    shape: float
-    omega: float
-
-
-@dataclass(frozen=True)
-class GammaMixture:
-    """Weighted gamma components; prefactor * sum(weights) -> 1 as terms grow."""
-
-    terms: tuple[GammaTerm, ...]
-    prefactor: float
-    truncation_error_bound: float
-
-
-@dataclass(frozen=True)
-class TailParams:
-    """Small-x power law f(x) ~ (alpha/omega_x) (x/omega_x)^beta, so that
-    F(x) ~ (alpha/(beta+1)) (x/omega_x)^(beta+1)."""
-
-    alpha: float
-    beta: float
-
-
-# ---------------------------------------------------------------------------
-# PDFs
-# ---------------------------------------------------------------------------
-
-def _ln_hyp1f1(a, b: float, w) -> np.ndarray:
-    """ln 1F1(a; b; w) for w >= 0, switching to the large-argument asymptotic
-    1F1 ~ Gamma(b)/Gamma(a) e^w w^(a-b) once the direct value would overflow."""
-    a, w = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(w, dtype=float))
-    out = np.empty(w.shape)
-    small = w < 600.0
-    if np.any(small):
-        out[small] = np.log(sc.hyp1f1(a[small], b, w[small]))
-    if np.any(~small):
-        al, wl = a[~small], w[~small]
-        corr = np.log1p((b - al) * (1.0 - al) / wl)
-        out[~small] = (
-            sc.gammaln(b) - sc.gammaln(al) + wl + (al - b) * np.log(wl) + corr
-        )
-    return out
-
-
-def _ln_hyp2f1(a, b, c, z) -> np.ndarray:
-    """ln 2F1(a, b; c; z), NaN where 2F1 overflows double precision: its
-    logarithm is then unknown, not infinite, so a series that reaches such
-    a term raises instead of summing an infinity."""
-    out = np.log(sc.hyp2f1(a, b, c, z))
-    return np.where(np.isfinite(out), out, np.nan)
-
-
-def pdf(model: FadingModel, x, tol: Tolerance = DEFAULT_TOL):
-    """Power PDF at x > 0. Vectorized except for TWDP, whose PDF is a
-    periodic integral evaluated point by point."""
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr <= 0):
-        raise ValueError("fading.pdf: support is x > 0")
-    om = model.omega_x
-    if isinstance(model, Rayleigh):
-        out = np.exp(-arr / om) / om
-    elif isinstance(model, NakagamiM):
-        mf = model.m_f
-        out = np.exp(
-            mf * np.log(mf / om)
-            + (mf - 1.0) * np.log(arr)
-            - mf * arr / om
-            - sc.gammaln(mf)
-        )
-    elif isinstance(model, Rician):
-        if model.k_r == 0:
-            out = np.exp(-arr / om) / om
-        else:
-            K = model.k_r
-            z = 2.0 * np.sqrt(K * (1.0 + K) * arr / om)
-            out = np.exp(
-                np.log((1.0 + K) / om) - K - (1.0 + K) * arr / om + z
-            ) * sc.i0e(z)
-    elif isinstance(model, Hoyt):
-        q = model.q
-        z = (1.0 - q**4) * arr / (4.0 * q * q * om)
-        out = np.exp(
-            np.log((1.0 + q * q) / (2.0 * q * om))
-            - (1.0 + q * q) ** 2 * arr / (4.0 * q * q * om)
-            + z
-        ) * sc.i0e(z)
-    elif isinstance(model, KappaMu):
-        kap, mu = model.kappa, model.mu
-        if kap == 0:
-            return pdf(NakagamiM(m_f=mu, omega_x=om), x)
-        z = 2.0 * mu * np.sqrt(kap * (1.0 + kap) * arr / om)
-        lead = (
-            np.log(mu)
-            + 0.5 * (mu + 1.0) * np.log(1.0 + kap)
-            - 0.5 * (mu - 1.0) * np.log(kap)
-            - mu * kap
-            - np.log(om)
-            + 0.5 * (mu - 1.0) * np.log(arr / om)
-            - mu * (1.0 + kap) * arr / om
-            + z
-        )
-        out = np.exp(lead) * sc.ive(mu - 1.0, z)
-    elif isinstance(model, EtaMu):
-        eta, mu = model.eta, model.mu
-        if abs(eta - 1.0) < 1e-12:
-            return pdf(NakagamiM(m_f=2.0 * mu, omega_x=om), x)
-        h = (2.0 + 1.0 / eta + eta) / 4.0
-        big_h = (1.0 / eta - eta) / 4.0
-        z = 2.0 * mu * big_h * arr / om
-        lead = (
-            np.log(2.0) + 0.5 * np.log(np.pi)
-            + (mu + 0.5) * np.log(mu)
-            + mu * np.log(h)
-            - sc.gammaln(mu)
-            - (mu - 0.5) * np.log(big_h)
-            - (mu + 0.5) * np.log(om)
-            + (mu - 0.5) * np.log(arr)
-            - 2.0 * mu * h * arr / om
-            + z
-        )
-        out = np.exp(lead) * sc.ive(mu - 0.5, z)
-    elif isinstance(model, KappaMuShadowed):
-        kap, mu, mf = model.kappa, model.mu, model.m_f
-        if kap == 0:
-            return pdf(NakagamiM(m_f=mu, omega_x=om), x)
-        w = mu * mu * kap * (1.0 + kap) / (mu * kap + mf) * arr / om
-        lead = (
-            mu * np.log(mu)
-            + mf * np.log(mf)
-            + mu * np.log(1.0 + kap)
-            - sc.gammaln(mu)
-            - np.log(om)
-            - mf * np.log(mu * kap + mf)
-            + (mu - 1.0) * np.log(arr / om)
-            - mu * (1.0 + kap) * arr / om
-        )
-        out = np.exp(lead + _ln_hyp1f1(mf, mu, w))
-    elif isinstance(model, TWDP):
-        flat = np.atleast_1d(arr)
-        out = np.array([_twdp_pdf_scalar(u, model, tol) for u in flat]).reshape(
-            arr.shape
-        )
-    else:
-        raise TypeError(f"unsupported fading model {type(model).__name__}")
-    return float(out) if np.ndim(x) == 0 else out
-
-
-def _twdp_pdf_scalar(u: float, model: TWDP, tol: Tolerance) -> float:
-    K, D, om = model.k_r, model.delta, model.omega_x
-    if K == 0:
-        return math.exp(-u / om) / om
-    c = K * (1.0 + K) / om
-    zmax = 2.0 * math.sqrt(c * u * (1.0 + D))
+    The defining double Bessel sum alternates with exponentially growing
+    terms, so the weight is taken in its positive phase-average form (from
+    expanding the Bessel kernel of the integral-form PDF term by term): the
+    Poisson probability of j at rate lambda(a) = K (1 + D cos a), averaged
+    over the phase a. The integrand is divided by its largest value, which
+    lambda = clip(j, K(1-D), K(1+D)) attains, so it lies in [0, 1].
+    """
+    quad_tol = Tolerance(rel_tol=min(tol.rel_tol, 1e-12), abs_tol=0.0,
+                         max_terms=tol.max_terms,
+                         max_subdivisions=tol.max_subdivisions)
+    peak = min(max(j, K * (1.0 - D)), K * (1.0 + D))
+    ln_peak = sc.xlogy(j, peak) - peak
 
     def integrand(alpha: np.ndarray) -> np.ndarray:
-        z = 2.0 * np.sqrt(c * u * (1.0 + D * np.cos(alpha)))
-        return np.exp(-K * D * np.cos(alpha) + z - zmax) * sc.i0e(z)
+        lam = K * (1.0 + D * np.cos(alpha))
+        return np.exp(sc.xlogy(j, lam) - lam - ln_peak)
 
-    val, _ = integrate_finite(integrand, 0.0, 2.0 * math.pi, tol, periodic=True)
-    ln_pdf = (
-        math.log((1.0 + K) / (2.0 * math.pi * om))
-        - (1.0 + K) * u / om
-        - K
-        + zmax
-        + math.log(val)
-    )
-    return math.exp(ln_pdf) if ln_pdf > -745.0 else 0.0
+    val, _ = integrate_finite(integrand, 0.0, 2.0 * math.pi, quad_tol, periodic=True)
+    return ln_peak - math.lgamma(j + 1.0) + math.log(val / (2.0 * math.pi))
+
+
+def twdp_specular_amplitudes(model: TWDP) -> tuple[float, float, float]:
+    """Recover (V1, V2, sigma^2) from (K, delta, omega_x), with V1 >= V2."""
+    K, D, om = model.k_r, model.delta, model.omega_x
+    sigma2 = om / (2.0 * (1.0 + K))
+    root = math.sqrt(max(0.0, 1.0 - D * D))
+    v1 = math.sqrt(sigma2 * K * (1.0 + root))
+    v2 = math.sqrt(sigma2 * K * (1.0 - root))
+    return v1, v2, sigma2
 
 
 # ---------------------------------------------------------------------------
-# Generalized MGF phi^(p)(s) = E[X^p e^{sX}]
+# Module-level entry points: one dispatch each
 # ---------------------------------------------------------------------------
+
+def pdf(model: FadingModel, x, tol: Tolerance = DEFAULT_TOL):
+    """Power PDF at x > 0; see `_Baseline.pdf`."""
+    return model.pdf(x, tol)
+
 
 def gmgf_log(model: FadingModel, p, s, tol: Tolerance = DEFAULT_TOL):
-    """ln phi^(p)(s) for p >= 0, s <= 0; vectorized over p and s, which
-    broadcast together.
-
-    Closed forms for every model except TWDP, which uses a single periodic
-    integral at every order (the Laplace transform of the Bessel kernel in
-    the integral-form PDF reduces the defining double integral to one over
-    the phase angle); all (p, s) pairs share its phase grid.
-    """
-    p, arr = np.asarray(p, dtype=float), np.asarray(s, dtype=float)
-    om = model.omega_x
-    if isinstance(model, Rayleigh):
-        out = sc.gammaln(p + 1.0) + p * math.log(om) - (p + 1.0) * np.log1p(-arr * om)
-    elif isinstance(model, NakagamiM):
-        mf = model.m_f
-        out = (
-            sc.gammaln(p + mf)
-            - sc.gammaln(mf)
-            + p * math.log(om)
-            + mf * math.log(mf)
-            - (p + mf) * np.log(mf - arr * om)
-        )
-    elif isinstance(model, Rician):
-        K = model.k_r
-        if K == 0:
-            return gmgf_log(Rayleigh(om), p, s)
-        den = 1.0 + K - arr * om
-        out = (
-            sc.gammaln(p + 1.0)
-            + p * math.log(om)
-            + math.log(1.0 + K)
-            - K
-            - (p + 1.0) * np.log(den)
-            + _ln_hyp1f1(p + 1.0, 1.0, K * (1.0 + K) / den)
-        )
-    elif isinstance(model, KappaMu):
-        kap, mu = model.kappa, model.mu
-        if kap == 0:
-            return gmgf_log(NakagamiM(mu, om), p, s)
-        den = mu * (1.0 + kap) - arr * om
-        out = (
-            sc.gammaln(mu + p)
-            - sc.gammaln(mu)
-            + p * math.log(om)
-            + mu * math.log(mu)
-            + mu * math.log(1.0 + kap)
-            - mu * kap
-            - (mu + p) * np.log(den)
-            + _ln_hyp1f1(mu + p, mu, mu * mu * kap * (1.0 + kap) / den)
-        )
-    elif isinstance(model, Hoyt):
-        q = model.q
-        den = q * q + 1.0 - 2.0 * arr * q * q * om
-        out = (
-            p * math.log(2.0)
-            + (2.0 * p + 1.0) * math.log(q)
-            + sc.gammaln(p + 1.0)
-            + p * math.log(om)
-            + math.log(q * q + 1.0)
-            - (p + 1.0) * np.log(den)
-            + _ln_hyp2f1(0.5, p + 1.0, 1.0, (1.0 - q**4) / den)
-        )
-    elif isinstance(model, EtaMu):
-        eta, mu = model.eta, model.mu
-        den = mu * (eta + 1.0) / eta - arr * om
-        out = (
-            2.0 * mu * math.log(mu)
-            + sc.gammaln(p + 2.0 * mu)
-            - sc.gammaln(2.0 * mu)
-            + p * math.log(om)
-            + 2.0 * mu * math.log(eta + 1.0)
-            - mu * math.log(eta)
-            - (p + 2.0 * mu) * np.log(den)
-            + _ln_hyp2f1(
-                mu,
-                2.0 * mu + p,
-                2.0 * mu,
-                mu * (1.0 - eta * eta) / (mu * (1.0 + eta) - arr * eta * om),
-            )
-        )
-    elif isinstance(model, KappaMuShadowed):
-        kap, mu, mf = model.kappa, model.mu, model.m_f
-        if kap == 0:
-            return gmgf_log(NakagamiM(mu, om), p, s)
-        den = mu * (1.0 + kap) - arr * om
-        out = (
-            sc.gammaln(mu + p)
-            - sc.gammaln(mu)
-            + mf * math.log(mf)
-            + p * math.log(om)
-            + mu * math.log(mu)
-            + mu * math.log(1.0 + kap)
-            - mf * math.log(mu * kap + mf)
-            - (mu + p) * np.log(den)
-            + _ln_hyp2f1(
-                mf, mu + p, mu, mu * mu * kap * (1.0 + kap) / (mu * kap + mf) / den
-            )
-        )
-    elif isinstance(model, TWDP):
-        if model.k_r == 0:
-            return gmgf_log(Rayleigh(om), p, s)
-        out = _twdp_gmgf_log(p, arr, model, tol)
-    else:
-        raise TypeError(f"unsupported fading model {type(model).__name__}")
-    return float(out) if out.ndim == 0 else out
+    """ln phi^(p)(s) for p >= 0, s <= 0; see `_Baseline.gmgf_log`."""
+    return model.gmgf_log(p, s, tol)
 
 
 def gmgf(model: FadingModel, p: float, s: float, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -463,263 +678,30 @@ def gmgf(model: FadingModel, p: float, s: float, tol: Tolerance = DEFAULT_TOL) -
     return math.exp(ln_phi)
 
 
-def _twdp_gmgf_log(p: np.ndarray, s: np.ndarray, model: TWDP,
-                   tol: Tolerance) -> np.ndarray:
-    """ln phi^(p)(s) for TWDP via one periodic integral per (p, s) pair of
-    the broadcast p and s; the pairs share the phase grid."""
-    K, D, om = model.k_r, model.delta, model.omega_x
-    p, s = np.broadcast_arrays(p, s)
-    den = 1.0 + K - s * om
-    c = K * (1.0 + K) / den
-
-    def integrand(alpha: np.ndarray) -> np.ndarray:
-        cos = np.cos(alpha).reshape((-1,) + (1,) * p.ndim)
-        return np.exp(-K * D * cos) * sc.hyp1f1(p + 1.0, 1.0, c * (1.0 + D * cos))
-
-    val, _ = integrate_finite(integrand, 0.0, 2.0 * math.pi, tol, periodic=True)
-    return (
-        math.log(1.0 + K)
-        - K
-        + sc.gammaln(p + 1.0)
-        - math.log(2.0 * math.pi)
-        + p * math.log(om)
-        - (p + 1.0) * np.log(den)
-        + np.log(val)
-    )
-
-
-# ---------------------------------------------------------------------------
-# Gamma mixtures
-# ---------------------------------------------------------------------------
-
 def gamma_mixture(model: FadingModel, tol: Tolerance = DEFAULT_TOL) -> GammaMixture:
-    """Represent the power PDF as (prefactor * sum of weighted gamma PDFs).
-
-    Single-term for Rayleigh/Nakagami; Poisson-weighted for Rician and
-    kappa-mu; negative-binomial-weighted for kappa-mu shadowed;
-    Bessel-weighted for TWDP. Hoyt and eta-mu have no published mixture.
-    """
-    om = model.omega_x
-    if isinstance(model, Rayleigh):
-        return GammaMixture((GammaTerm(1.0, 1.0, om),), 1.0, 0.0)
-    if isinstance(model, NakagamiM):
-        return GammaMixture((GammaTerm(1.0, model.m_f, om),), 1.0, 0.0)
-    if isinstance(model, Rician):
-        return _poisson_mixture(model.k_r, 1.0, model.k_r, om, tol)
-    if isinstance(model, KappaMu):
-        return _poisson_mixture(model.mu * model.kappa, model.mu, model.kappa, om, tol)
-    if isinstance(model, KappaMuShadowed):
-        return _nb_mixture(model, tol)
-    if isinstance(model, TWDP):
-        return _twdp_mixture(model, tol)
-    raise ValueError(
-        f"gamma_mixture: no mixture representation for {type(model).__name__}"
-    )
-
-
-def _mixture_cap(tol: Tolerance) -> float:
-    return tol.rel_tol * 1e-2
-
-
-def _poisson_mixture(rate: float, mu: float, kappa: float, om: float, tol: Tolerance) -> GammaMixture:
-    # Rician is the mu = 1 case; component i has shape mu + i.
-    if rate == 0:
-        return GammaMixture((GammaTerm(1.0, mu, om),), 1.0, 0.0)
-    prefactor = math.exp(-rate)
-    scale = om / (mu * (1.0 + kappa))
-    ln_rate = math.log(rate)
-    terms = []
-    mass = 0.0
-    for i in range(5000):
-        w = math.exp(i * ln_rate - sc.gammaln(i + 1.0))
-        terms.append(GammaTerm(w, mu + i, (mu + i) * scale))
-        mass += w
-        resid = abs(1.0 - prefactor * mass)
-        if i >= 9 and resid < _mixture_cap(tol):
-            return GammaMixture(tuple(terms), prefactor, resid)
-    raise ConvergenceError(
-        "gamma mixture weights did not converge in 5000 terms",
-        estimate=prefactor * mass,
-        error_bound=abs(1.0 - prefactor * mass),
-    )
-
-
-def _nb_mixture(model: KappaMuShadowed, tol: Tolerance) -> GammaMixture:
-    kap, mu, mf, om = model.kappa, model.mu, model.m_f, model.omega_x
-    if kap == 0:
-        return GammaMixture((GammaTerm(1.0, mu, om),), 1.0, 0.0)
-    scale = om / (mu * (1.0 + kap))
-    ln_ratio = math.log(mu * kap) - math.log(mu * kap + mf)
-    base = mf * (math.log(mf) - math.log(mu * kap + mf))
-    terms = []
-    mass = 0.0
-    for i in range(5000):
-        w = math.exp(
-            sc.gammaln(mf + i) - sc.gammaln(mf) - sc.gammaln(i + 1.0)
-            + i * ln_ratio + base
+    """The power PDF as a sum of weighted gamma PDFs whose shapes step by 1
+    at one common scale: a single term for Rayleigh/Nakagami, Poisson
+    weights for Rician and kappa-mu, negative-binomial weights for kappa-mu
+    shadowed, phase-averaged Poisson weights for TWDP. Hoyt and eta-mu have
+    no published mixture."""
+    if not hasattr(model, "mixture"):
+        raise ValueError(
+            f"gamma_mixture: no mixture representation for {type(model).__name__}"
         )
-        terms.append(GammaTerm(w, mu + i, (mu + i) * scale))
-        mass += w
-        resid = abs(1.0 - mass)
-        if i >= 9 and resid < _mixture_cap(tol):
-            return GammaMixture(tuple(terms), 1.0, resid)
-    raise ConvergenceError(
-        "gamma mixture weights did not converge in 5000 terms",
-        estimate=mass,
-        error_bound=abs(1.0 - mass),
-    )
+    return model.mixture(tol)
 
-
-def twdp_mixture_weight(j: int, K: float, D: float, tol: Tolerance = DEFAULT_TOL) -> float:
-    """j-th TWDP mixture weight (before the e^-K prefactor).
-
-    The defining double Bessel sum alternates with exponentially growing
-    terms, so it is evaluated in its positive-integrand phase-average form
-    (from expanding the Bessel kernel of the integral-form PDF term by term):
-    w_j = (2K)^j / j! * (1/2pi) integral e^{-K D cos a} ((1 + D cos a)/2)^j da.
-    """
-    quad_tol = Tolerance(rel_tol=min(tol.rel_tol, 1e-12), abs_tol=0.0,
-                         max_terms=tol.max_terms,
-                         max_subdivisions=tol.max_subdivisions)
-
-    def integrand(alpha: np.ndarray) -> np.ndarray:
-        base = 0.5 * (1.0 + D * np.cos(alpha))
-        return np.exp(-K * D * np.cos(alpha)) * base**j
-
-    val, _ = integrate_finite(integrand, 0.0, 2.0 * math.pi, quad_tol, periodic=True)
-    return math.exp(
-        j * math.log(2.0 * K) - sc.gammaln(j + 1.0)
-    ) * val / (2.0 * math.pi)
-
-
-def _twdp_mixture(model: TWDP, tol: Tolerance) -> GammaMixture:
-    K, D, om = model.k_r, model.delta, model.omega_x
-    if K == 0:
-        return GammaMixture((GammaTerm(1.0, 1.0, om),), 1.0, 0.0)
-    prefactor = math.exp(-K)
-    terms = []
-    mass = 0.0
-    for j in range(5000):
-        w = twdp_mixture_weight(j, K, D, tol)
-        terms.append(GammaTerm(w, j + 1.0, (j + 1.0) * om / (K + 1.0)))
-        mass += w
-        resid = abs(1.0 - prefactor * mass)
-        if j >= 9 and resid < _mixture_cap(tol):
-            return GammaMixture(tuple(terms), prefactor, resid)
-    raise ConvergenceError(
-        "TWDP mixture weights did not converge in 5000 terms",
-        estimate=prefactor * mass,
-        error_bound=abs(1.0 - prefactor * mass),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Small-argument CDF power law
-# ---------------------------------------------------------------------------
 
 def tail_params(model: FadingModel) -> TailParams:
     """Power-law parameters of the PDF near the origin,
     f(x) ~ (alpha/omega_x) (x/omega_x)^beta, from the exact small-x limit of
     each model's PDF (Bessel I_nu(z) ~ (z/2)^nu / Gamma(nu+1), 1F1 -> 1)."""
-    if isinstance(model, Rayleigh):
-        return TailParams(1.0, 0.0)
-    if isinstance(model, Rician):
-        K = model.k_r
-        return TailParams((1.0 + K) * math.exp(-K), 0.0)
-    if isinstance(model, NakagamiM):
-        mf = model.m_f
-        return TailParams(math.exp(mf * math.log(mf) - sc.gammaln(mf)), mf - 1.0)
-    if isinstance(model, Hoyt):
-        q = model.q
-        return TailParams((1.0 + q * q) / (2.0 * q), 0.0)
-    if isinstance(model, KappaMu):
-        kap, mu = model.kappa, model.mu
-        return TailParams(
-            math.exp(mu * math.log(mu * (1.0 + kap)) - mu * kap - sc.gammaln(mu)),
-            mu - 1.0,
-        )
-    if isinstance(model, EtaMu):
-        eta, mu = model.eta, model.mu
-        h = (2.0 + 1.0 / eta + eta) / 4.0
-        return TailParams(
-            math.exp(2.0 * mu * math.log(2.0 * mu) + mu * math.log(h) - sc.gammaln(2.0 * mu)),
-            2.0 * mu - 1.0,
-        )
-    if isinstance(model, KappaMuShadowed):
-        kap, mu, mf = model.kappa, model.mu, model.m_f
-        return TailParams(
-            math.exp(
-                mu * math.log(mu * (1.0 + kap)) + mf * math.log(mf)
-                - sc.gammaln(mu) - mf * math.log(mu * kap + mf)
-            ),
-            mu - 1.0,
-        )
-    if isinstance(model, TWDP):
-        K, D = model.k_r, model.delta
-        return TailParams((1.0 + K) * math.exp(-K) * float(sc.i0(K * D)), 0.0)
-    raise TypeError(f"unsupported fading model {type(model).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# Samplers (physical constructions)
-# ---------------------------------------------------------------------------
-
-def twdp_specular_amplitudes(model: TWDP) -> tuple[float, float, float]:
-    """Recover (V1, V2, sigma^2) from (K, delta, omega_x), with V1 >= V2."""
-    K, D, om = model.k_r, model.delta, model.omega_x
-    sigma2 = om / (2.0 * (1.0 + K))
-    root = math.sqrt(max(0.0, 1.0 - D * D))
-    v1 = math.sqrt(sigma2 * K * (1.0 + root))
-    v2 = math.sqrt(sigma2 * K * (1.0 - root))
-    return v1, v2, sigma2
+    return model.tail()
 
 
 def draw(model: FadingModel, rng: np.random.Generator, count: int) -> np.ndarray:
-    """Draw `count` power samples with an explicit generator."""
-    om = model.omega_x
-    if isinstance(model, Rayleigh):
-        a = rng.normal(scale=math.sqrt(om / 2.0), size=count)
-        b = rng.normal(scale=math.sqrt(om / 2.0), size=count)
-        return a * a + b * b
-    if isinstance(model, Rician):
-        K = model.k_r
-        sigma = math.sqrt(om / (2.0 * (1.0 + K)))
-        v = math.sqrt(K * om / (1.0 + K))
-        a = v + rng.normal(scale=sigma, size=count)
-        b = rng.normal(scale=sigma, size=count)
-        return a * a + b * b
-    if isinstance(model, NakagamiM):
-        return rng.gamma(shape=model.m_f, scale=om / model.m_f, size=count)
-    if isinstance(model, Hoyt):
-        q = model.q
-        a = rng.normal(scale=math.sqrt(om / (1.0 + q * q)), size=count)
-        b = rng.normal(scale=math.sqrt(q * q * om / (1.0 + q * q)), size=count)
-        return a * a + b * b
-    if isinstance(model, KappaMu):
-        kap, mu = model.kappa, model.mu
-        idx = rng.poisson(mu * kap, size=count) if kap > 0 else np.zeros(count)
-        return rng.gamma(shape=mu + idx, scale=om / (mu * (1.0 + kap)), size=count)
-    if isinstance(model, EtaMu):
-        eta, mu = model.eta, model.mu
-        g1 = rng.gamma(shape=mu, scale=eta * om / (mu * (1.0 + eta)), size=count)
-        g2 = rng.gamma(shape=mu, scale=om / (mu * (1.0 + eta)), size=count)
-        return g1 + g2
-    if isinstance(model, KappaMuShadowed):
-        kap, mu, mf = model.kappa, model.mu, model.m_f
-        if kap > 0:
-            idx = rng.negative_binomial(mf, mf / (mu * kap + mf), size=count)
-        else:
-            idx = np.zeros(count)
-        return rng.gamma(shape=mu + idx, scale=om / (mu * (1.0 + kap)), size=count)
-    if isinstance(model, TWDP):
-        v1, v2, sigma2 = twdp_specular_amplitudes(model)
-        sigma = math.sqrt(sigma2)
-        phi1 = rng.uniform(0.0, 2.0 * math.pi, size=count)
-        phi2 = rng.uniform(0.0, 2.0 * math.pi, size=count)
-        re = v1 * np.cos(phi1) + v2 * np.cos(phi2) + rng.normal(scale=sigma, size=count)
-        im = v1 * np.sin(phi1) + v2 * np.sin(phi2) + rng.normal(scale=sigma, size=count)
-        return re * re + im * im
-    raise ValueError(f"sample: unsupported fading model {type(model).__name__}")
+    """Draw `count` power samples with an explicit generator, by each model's
+    physical construction (never from its mixture)."""
+    return model.draw(rng, count)
 
 
 def sample(model: FadingModel, count: int, seed: int) -> np.ndarray:

@@ -29,61 +29,18 @@ __all__ = [
 _EXP_LO, _EXP_HI = -745.0, 709.0
 
 
-@dataclass(frozen=True)
-class Lognormal:
-    """ln Y ~ Normal(mu, sigma^2)."""
+class _Shadowing:
+    """Argument handling shared by every shadowing law. A model supplies
+    `_cdf(y)` and `_pdf(y)` on a float array of y > 0."""
 
-    mu: float
-    sigma: float
+    def cdf(self, y):
+        """Model CDF at y > 0; vectorized over y."""
+        out = self._cdf(_as_positive(y, "shadowing.cdf"))
+        return _maybe_scalar(np.clip(out, 0.0, 1.0), y)
 
-    def __post_init__(self):
-        if not self.sigma > 0:
-            raise ValueError(f"Lognormal: sigma must be > 0, got {self.sigma}")
-
-
-@dataclass(frozen=True)
-class GammaShadowing:
-    """Gamma with shape k and mean omega."""
-
-    k: float
-    omega: float
-
-    def __post_init__(self):
-        if not self.k > 0:
-            raise ValueError(f"GammaShadowing: k must be > 0, got {self.k}")
-        if not self.omega > 0:
-            raise ValueError(f"GammaShadowing: omega must be > 0, got {self.omega}")
-
-
-@dataclass(frozen=True)
-class InverseGaussian:
-    """Inverse Gaussian with mean mu_i and shape lam."""
-
-    mu_i: float
-    lam: float
-
-    def __post_init__(self):
-        if not self.mu_i > 0:
-            raise ValueError(f"InverseGaussian: mu_i must be > 0, got {self.mu_i}")
-        if not self.lam > 0:
-            raise ValueError(f"InverseGaussian: lam must be > 0, got {self.lam}")
-
-
-@dataclass(frozen=True)
-class InverseGamma:
-    """Inverse gamma with shape m > 1 and mean omega_i."""
-
-    m: float
-    omega_i: float
-
-    def __post_init__(self):
-        if not self.m > 1:
-            raise ValueError(f"InverseGamma: m must be > 1, got {self.m}")
-        if not self.omega_i > 0:
-            raise ValueError(f"InverseGamma: omega_i must be > 0, got {self.omega_i}")
-
-
-ShadowingModel = Union[Lognormal, GammaShadowing, InverseGaussian, InverseGamma]
+    def pdf(self, y):
+        """Model PDF at y > 0; vectorized over y."""
+        return _maybe_scalar(self._pdf(_as_positive(y, "shadowing.pdf")), y)
 
 
 def _as_positive(y, name: str):
@@ -97,54 +54,108 @@ def _maybe_scalar(out: np.ndarray, y) -> "float | np.ndarray":
     return float(out) if np.isscalar(y) or np.ndim(y) == 0 else out
 
 
-def cdf(model: ShadowingModel, y):
-    """Model CDF at y > 0; vectorized over y."""
-    arr = _as_positive(y, "shadowing.cdf")
-    if isinstance(model, Lognormal):
-        out = 0.5 + 0.5 * sc.erf((np.log(arr) - model.mu) / np.sqrt(2.0 * model.sigma**2))
-    elif isinstance(model, GammaShadowing):
-        out = sc.gammainc(model.k, model.k * arr / model.omega)
-    elif isinstance(model, InverseGaussian):
+@dataclass(frozen=True)
+class Lognormal(_Shadowing):
+    """ln Y ~ Normal(mu, sigma^2)."""
+
+    mu: float
+    sigma: float
+
+    def __post_init__(self):
+        if not self.sigma > 0:
+            raise ValueError(f"Lognormal: sigma must be > 0, got {self.sigma}")
+
+    def _cdf(self, y):
+        return 0.5 + 0.5 * sc.erf((np.log(y) - self.mu) / np.sqrt(2.0 * self.sigma**2))
+
+    def _pdf(self, y):
+        z = (np.log(y) - self.mu) / self.sigma
+        return np.exp(-0.5 * z * z) / (y * self.sigma * np.sqrt(2.0 * np.pi))
+
+
+@dataclass(frozen=True)
+class GammaShadowing(_Shadowing):
+    """Gamma with shape k and mean omega."""
+
+    k: float
+    omega: float
+
+    def __post_init__(self):
+        if not self.k > 0:
+            raise ValueError(f"GammaShadowing: k must be > 0, got {self.k}")
+        if not self.omega > 0:
+            raise ValueError(f"GammaShadowing: omega must be > 0, got {self.omega}")
+
+    def _cdf(self, y):
+        return sc.gammainc(self.k, self.k * y / self.omega)
+
+    def _pdf(self, y):
+        k, om = self.k, self.omega
+        return np.exp(k * np.log(k / om) + (k - 1.0) * np.log(y) - k * y / om - sc.gammaln(k))
+
+
+@dataclass(frozen=True)
+class InverseGaussian(_Shadowing):
+    """Inverse Gaussian with mean mu_i and shape lam."""
+
+    mu_i: float
+    lam: float
+
+    def __post_init__(self):
+        if not self.mu_i > 0:
+            raise ValueError(f"InverseGaussian: mu_i must be > 0, got {self.mu_i}")
+        if not self.lam > 0:
+            raise ValueError(f"InverseGaussian: lam must be > 0, got {self.lam}")
+
+    def _cdf(self, y):
         # second term assembled in log space: exp(2 lam/mu) overflows long
         # before the Gaussian tail factor stops cancelling it
-        root = np.sqrt(model.lam / arr)
-        ratio = arr / model.mu_i
-        out = sc.ndtr(root * (ratio - 1.0)) + np.exp(
-            2.0 * model.lam / model.mu_i + sc.log_ndtr(-root * (ratio + 1.0))
+        root = np.sqrt(self.lam / y)
+        ratio = y / self.mu_i
+        return sc.ndtr(root * (ratio - 1.0)) + np.exp(
+            2.0 * self.lam / self.mu_i + sc.log_ndtr(-root * (ratio + 1.0))
         )
-    elif isinstance(model, InverseGamma):
+
+    def _pdf(self, y):
+        mu, lam = self.mu_i, self.lam
+        return np.sqrt(lam / (2.0 * np.pi * y**3)) * np.exp(
+            -lam * (y - mu) ** 2 / (2.0 * mu**2 * y)
+        )
+
+
+@dataclass(frozen=True)
+class InverseGamma(_Shadowing):
+    """Inverse gamma with shape m > 1 and mean omega_i."""
+
+    m: float
+    omega_i: float
+
+    def __post_init__(self):
+        if not self.m > 1:
+            raise ValueError(f"InverseGamma: m must be > 1, got {self.m}")
+        if not self.omega_i > 0:
+            raise ValueError(f"InverseGamma: omega_i must be > 0, got {self.omega_i}")
+
+    def _cdf(self, y):
         with np.errstate(over="ignore"):
-            out = sc.gammaincc(model.m, model.omega_i * (model.m - 1.0) / arr)
-    else:
-        raise TypeError(f"unsupported shadowing model {type(model).__name__}")
-    return _maybe_scalar(np.clip(out, 0.0, 1.0), y)
+            return sc.gammaincc(self.m, self.omega_i * (self.m - 1.0) / y)
+
+    def _pdf(self, y):
+        m, rate = self.m, self.omega_i * (self.m - 1.0)
+        return np.exp(m * np.log(rate) - sc.gammaln(m) - (m + 1.0) * np.log(y) - rate / y)
+
+
+ShadowingModel = Union[Lognormal, GammaShadowing, InverseGaussian, InverseGamma]
+
+
+def cdf(model: ShadowingModel, y):
+    """Model CDF at y > 0; vectorized over y."""
+    return model.cdf(y)
 
 
 def pdf(model: ShadowingModel, y):
     """Model PDF at y > 0; vectorized over y."""
-    arr = _as_positive(y, "shadowing.pdf")
-    if isinstance(model, Lognormal):
-        z = (np.log(arr) - model.mu) / model.sigma
-        out = np.exp(-0.5 * z * z) / (arr * model.sigma * np.sqrt(2.0 * np.pi))
-    elif isinstance(model, GammaShadowing):
-        k, om = model.k, model.omega
-        out = np.exp(
-            k * np.log(k / om) + (k - 1.0) * np.log(arr) - k * arr / om - sc.gammaln(k)
-        )
-    elif isinstance(model, InverseGaussian):
-        mu, lam = model.mu_i, model.lam
-        out = np.sqrt(lam / (2.0 * np.pi * arr**3)) * np.exp(
-            -lam * (arr - mu) ** 2 / (2.0 * mu**2 * arr)
-        )
-    elif isinstance(model, InverseGamma):
-        m, om = model.m, model.omega_i
-        rate = om * (m - 1.0)
-        out = np.exp(
-            m * np.log(rate) - sc.gammaln(m) - (m + 1.0) * np.log(arr) - rate / arr
-        )
-    else:
-        raise TypeError(f"unsupported shadowing model {type(model).__name__}")
-    return _maybe_scalar(out, y)
+    return model.pdf(y)
 
 
 def log_domain_cdf(model: ShadowingModel, t):

@@ -44,7 +44,7 @@ def _strategies(model: co.CompositeModel) -> list:
     strats = [S.GMGF_GENERAL]
     if model.integer_m:
         strats.append(S.GMGF_INTEGER)
-    if isinstance(model.baseline, fa.MIXTURE_MODELS):
+    if hasattr(model.baseline, "mixture"):
         strats.append(S.MIXTURE)
     return strats
 

@@ -174,6 +174,58 @@ class TestOutage:
         assert "Hoyt(q=0.5" in err and "m = 2.5" in err and "u = 0.0001" in err
 
 
+    def test_strong_line_of_sight_sweep(self, capsys):
+        cfg = '{"shadowing":{"m":2.5},"fading":{"type":"rician","k_r":1000}}'
+        assert main(["outage", "--config", cfg, "--grid-db=-10:5:0"]) == 0
+        rows = list(csv.reader(capsys.readouterr().out.splitlines()))[1:]
+        general = co.outage(parse_model_config(cfg), 10.0 ** np.array([-1.0, -0.5, 0.0]),
+                            1.0, co.Strategy.GMGF_GENERAL)
+        assert [float(r[1]) for r in rows] == pytest.approx(general, rel=0.0, abs=1e-9)
+        assert float(rows[2][1]) == pytest.approx(0.699985836, abs=1e-9)  # QUADPACK
+
+
+# each fading.type's required keys, as the CLI names them
+REQUIRED_KEYS = {
+    "rayleigh": (),
+    "rician": ("k_r",),
+    "nakagami": ("m_f",),
+    "hoyt": ("q",),
+    "kappa-mu": ("kappa", "mu"),
+    "eta-mu": ("eta", "mu"),
+    "kappa-mu-shadowed": ("kappa", "mu", "m_f"),
+    "twdp": ("k_r", "delta"),
+}
+VALID = {"k_r": 2, "m_f": 1.5, "q": 0.5, "kappa": 2, "mu": 1.5, "eta": 0.5, "delta": 0.3}
+
+
+class TestFadingSchema:
+    def _gmgf(self, doc):
+        return main(["gmgf", "--fading", json.dumps(doc), "--p", "1", "--s=-1"])
+
+    @pytest.mark.parametrize("kind", sorted(REQUIRED_KEYS))
+    def test_complete_config_with_omega_x(self, kind, capsys):
+        doc = {"type": kind, **{k: VALID[k] for k in REQUIRED_KEYS[kind]}, "omega_x": 1.3}
+        assert self._gmgf(doc) == 0
+
+    @pytest.mark.parametrize("kind,key", [
+        (kind, key) for kind, keys in REQUIRED_KEYS.items() for key in keys
+    ])
+    def test_missing_required_key_exits_2(self, kind, key, capsys):
+        doc = {"type": kind, **{k: VALID[k] for k in REQUIRED_KEYS[kind] if k != key}}
+        assert self._gmgf(doc) == 2
+        assert f"error: fading.{key}: required for type {kind!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", sorted(REQUIRED_KEYS))
+    def test_extra_key_exits_2(self, kind, capsys):
+        doc = {"type": kind, **{k: VALID[k] for k in REQUIRED_KEYS[kind]}, "bogus": 1}
+        assert self._gmgf(doc) == 2
+        assert f"error: fading: unknown key 'bogus' for type {kind!r}" in capsys.readouterr().err
+
+    def test_unknown_type_lists_all_eight(self, capsys):
+        assert self._gmgf({"type": "nope"}) == 2
+        assert str(sorted(REQUIRED_KEYS)) in capsys.readouterr().err
+
+
 class TestFit:
     def _write_samples(self, path, values):
         with open(path, "w") as fh:

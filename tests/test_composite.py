@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.special as sc
+import scipy.stats as st
 from scipy.integrate import quad
 
 from igcomposite import composite as co
@@ -25,7 +26,7 @@ def mixture_cdf_by_terms(model, u):
     for term in mix.terms:
         m, k, om = term.params.m, term.params.k, term.params.omega
         total += term.weight * sc.betainc(k, m, k * u / (k * u + (m - 1.0) * om))
-    return np.clip(mix.prefactor * total, 0.0, 1.0)
+    return np.clip(total, 0.0, 1.0)
 
 
 def series_cdf_by_points(model, u):
@@ -366,8 +367,7 @@ class TestMixtureOfF:
         K = 3.0
         model = co.CompositeModel(2.0, 1.0, fa.TWDP(K, 0.0))
         mix = co.mixture_of_f(model)
-        assert mix.prefactor == pytest.approx(math.exp(-K))
-        assert mix.terms[1].weight == pytest.approx(K, rel=1e-10)
+        assert mix.terms[1].weight == pytest.approx(K * math.exp(-K), rel=1e-10)
         assert mix.terms[1].params.k == 2.0
 
     def test_reconstruction_vs_general(self):
@@ -382,6 +382,39 @@ class TestMixtureOfF:
         with pytest.raises(ValueError):
             co.mixture_of_f(model)
 
+
+
+class TestStrongLineOfSight:
+    """Mixture weights are formed in log space with their normalization, so a
+    strong specular component (Poisson or phase-averaged Poisson weights
+    peaking near K) no longer overflows the mixture route."""
+
+    U = np.array([0.5, 1.0, 2.0])
+
+    @pytest.mark.parametrize("baseline", [fa.Rician(1000.0), fa.KappaMu(400.0, 2.0)], ids=repr)
+    def test_auto_matches_general(self, baseline):
+        model = co.CompositeModel(2.5, 1.0, baseline)
+        assert co._resolve(model, S.AUTO) is S.MIXTURE
+        np.testing.assert_allclose(co.composite_cdf(model, self.U),
+                                   co.composite_cdf(model, self.U, S.GMGF_GENERAL),
+                                   rtol=0.0, atol=1e-6)
+
+    def test_rician_1000_against_quadrature(self):
+        # E[Q(m, (m-1) X / u)] over the Rician power X, a scaled noncentral
+        # chi-square with 2 degrees of freedom, by QUADPACK
+        K, m = 1000.0, 2.5
+        law = st.ncx2(2, 2.0 * K, scale=1.0 / (2.0 * (1.0 + K)))
+        ref = [quad(lambda x: law.pdf(x) * sc.gammaincc(m, (m - 1.0) * x / u),
+                    0.5, 1.5, limit=500, epsabs=1e-14, epsrel=1e-13)[0] for u in self.U]
+        model = co.CompositeModel(m, 1.0, fa.Rician(K))
+        np.testing.assert_allclose(co.composite_cdf(model, self.U), ref, rtol=0.0, atol=1e-9)
+
+    def test_twdp_without_second_ray_is_rician(self):
+        twdp = co.CompositeModel(2.5, 1.0, fa.TWDP(400.0, 0.0))
+        rician = co.CompositeModel(2.5, 1.0, fa.Rician(400.0))
+        np.testing.assert_allclose(co.composite_cdf(twdp, self.U, S.MIXTURE),
+                                   co.composite_cdf(rician, self.U, S.MIXTURE),
+                                   rtol=0.0, atol=1e-12)
 
 
 class TestMixtureCdfKernel:

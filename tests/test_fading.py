@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import typing
 
 import mpmath
 import numpy as np
@@ -7,6 +9,7 @@ import scipy.special as sc
 import scipy.stats as st
 from scipy.integrate import quad
 
+from igcomposite import composite as co
 from igcomposite import fading as fa
 from igcomposite import montecarlo as mc
 from igcomposite import numerics as nm
@@ -99,6 +102,21 @@ class TestGmgf:
         for p in (0.5, 1.0, 2.0, 3.7):
             for s in (-0.1, -1.0, -10.0):
                 assert fa.gmgf(kms, p, s) == pytest.approx(fa.gmgf(nak, p, s), rel=1e-12)
+
+    @pytest.mark.parametrize("p", [2.5, 10.5, 50.5])
+    def test_large_argument_1f1(self, p):
+        # K(1+K)/(1+K-s) ~ 1000: 1F1 itself overflows here, so the value
+        # passes through Kummer's transformation
+        K, s = 1000.0, -0.05
+        den = 1.0 + K - s
+        ref = (mpmath.loggamma(p + 1) + mpmath.log(1 + K) - K - (p + 1) * mpmath.log(den)
+               + mpmath.log(mpmath.hyp1f1(p + 1, 1, K * (1 + K) / den)))
+        assert fa.gmgf_log(fa.Rician(K), p, s) == pytest.approx(float(ref), rel=1e-12)
+
+    def test_large_argument_1f1_out_of_range_raises(self):
+        # 1F1(1001.5; 1; 1000) is beyond double precision in either form
+        with pytest.raises(nm.ConvergenceError):
+            fa.gmgf(fa.Rician(1000.0), 1000.5, -0.05)
 
     def test_twdp_closed_form_vs_quadrature(self):
         model = fa.TWDP(k_r=4.0, delta=0.9)
@@ -219,6 +237,20 @@ class TestHierarchyCollapses:
     def test_hoyt_is_eta_mu_half(self):
         self._agree(fa.Hoyt(0.6), fa.EtaMu(eta=0.36, mu=0.5), self.GRID)
 
+    @pytest.mark.parametrize("model,k", [
+        (fa.KappaMu(0.0, 0.3), 0.3),
+        (fa.KappaMuShadowed(0.0, 0.3, 2.0), 0.3),
+        (fa.EtaMu(1.0, 0.2), 0.4),
+    ], ids=repr)
+    def test_gamma_limits_below_the_nakagami_range(self, model, k):
+        # shape k < 1/2 is no valid NakagamiM, but still the gamma law
+        for x in (0.1, 0.8, 2.0):
+            assert fa.pdf(model, x) == pytest.approx(st.gamma.pdf(x, k, scale=1.0 / k), rel=1e-12)
+        for p, s in self.GRID:
+            ref = math.exp(sc.gammaln(p + k) - sc.gammaln(k) - p * math.log(k)
+                           - (p + k) * math.log1p(-s / k))
+            assert fa.gmgf(model, p, s) == pytest.approx(ref, rel=1e-12)
+
 
 class TestPdf:
     def test_examples(self):
@@ -232,7 +264,7 @@ class TestPdf:
         model = fa.TWDP(4.0, 0.5)
         mix = fa.gamma_mixture(model)
         for x in (0.2, 0.7, 1.5, 4.0):
-            recon = mix.prefactor * sum(
+            recon = sum(
                 t.weight * st.gamma.pdf(x, t.shape, scale=t.omega / t.shape)
                 for t in mix.terms
             )
@@ -259,14 +291,14 @@ class TestGammaMixture:
         mix = fa.gamma_mixture(fa.NakagamiM(2.3, omega_x=1.4))
         assert len(mix.terms) == 1
         assert mix.terms[0] == fa.GammaTerm(1.0, 2.3, 1.4)
-        assert mix.prefactor == 1.0
 
     def test_twdp_delta0_poisson(self):
         K = 3.0
         mix = fa.gamma_mixture(fa.TWDP(K, 0.0))
-        assert mix.prefactor == pytest.approx(math.exp(-K))
         for j, term in enumerate(mix.terms[:8]):
-            assert term.weight == pytest.approx(K**j / math.factorial(j), rel=1e-10)
+            assert term.weight == pytest.approx(
+                math.exp(-K) * K**j / math.factorial(j), rel=1e-10
+            )
             assert term.shape == j + 1.0
             assert term.omega == pytest.approx((j + 1.0) / (K + 1.0))
 
@@ -275,8 +307,8 @@ class TestGammaMixture:
         from oracles import twdp_weight_bessel_sum
 
         for j in range(0, 25, 4):
-            assert fa.twdp_mixture_weight(j, K, D) == pytest.approx(
-                twdp_weight_bessel_sum(j, K, D), rel=1e-10
+            assert math.exp(fa.twdp_ln_weight(j, K, D)) == pytest.approx(
+                math.exp(-K) * twdp_weight_bessel_sum(j, K, D), rel=1e-10
             )
 
     def test_kms_weight_mass(self):
@@ -304,7 +336,7 @@ class TestGammaMixture:
         mix = fa.gamma_mixture(model)
         xs = np.logspace(-2, 1, 25) * model.omega_x
         for x in xs:
-            recon = mix.prefactor * sum(
+            recon = sum(
                 t.weight * st.gamma.pdf(x, t.shape, scale=t.omega / t.shape)
                 for t in mix.terms
             )
@@ -333,6 +365,23 @@ class TestGammaMixture:
         with pytest.raises(ValueError):
             fa.gamma_mixture(fa.EtaMu(0.5, 1.0))
 
+    def test_budget_error_names_the_baseline(self):
+        # the negative-binomial weights of a strong line of sight with
+        # m_f = 2 decay by only 800/802 per term
+        with pytest.raises(nm.ConvergenceError, match=r"KappaMuShadowed\(kappa=800.*5000 terms"):
+            fa.gamma_mixture(fa.KappaMuShadowed(800.0, 1.0, 2.0))
+
+    @pytest.mark.parametrize("model", [fa.Rician(1000.0), fa.KappaMu(400.0, 2.0),
+                                       fa.TWDP(400.0, 0.5)], ids=repr)
+    def test_strong_line_of_sight_weights_are_probabilities(self, model):
+        # each weight is formed in log space with its normalization, so no
+        # intermediate e^K overflows
+        mix = fa.gamma_mixture(model)
+        weights = np.array([t.weight for t in mix.terms])
+        assert np.all((weights >= 0) & (weights <= 1))
+        assert abs(1.0 - weights.sum()) == pytest.approx(mix.truncation_error_bound, abs=1e-13)
+        assert mix.truncation_error_bound < 1e-12
+
 
 class TestTailParams:
     def test_closed_forms(self):
@@ -343,6 +392,12 @@ class TestTailParams:
         tp = fa.tail_params(fa.NakagamiM(2.0))
         assert tp.beta == pytest.approx(1.0)
         assert tp.alpha == pytest.approx(4.0, rel=1e-12)
+
+    def test_twdp_strong_equal_rays(self):
+        # (1 + K) e^-K I_0(K delta) with I_0(1000) beyond double precision
+        K = 1000.0
+        ref = (1 + K) * mpmath.exp(-K) * mpmath.besseli(0, K)
+        assert fa.tail_params(fa.TWDP(K, 1.0)).alpha == pytest.approx(float(ref), rel=1e-12)
 
     def test_twdp_formula(self):
         K, D = 4.0, 0.9
@@ -427,3 +482,24 @@ class TestSampling:
         xs = fa.sample(model, 200000, seed=13)
         var = fa.gmgf(model, 2.0, 0.0) - 1.0
         assert abs(xs.mean() - 1.0) < 4 * math.sqrt(var / 200000)
+
+
+def _instance(cls, value):
+    """An instance of `cls` with every parameter that has no default at `value`."""
+    return cls(**{f.name: value for f in dataclasses.fields(cls)
+                  if f.default is dataclasses.MISSING})
+
+
+@pytest.mark.parametrize("cls", typing.get_args(fa.FadingModel), ids=lambda c: c.__name__)
+def test_every_baseline_implements_the_method_set(cls):
+    model = _instance(cls, 0.5)
+    assert model.pdf(0.7) > 0
+    assert math.isfinite(model.gmgf_log(1.5, -0.5))
+    assert model.tail().alpha > 0
+    assert model.draw(np.random.default_rng(1), 3).shape == (3,)
+    has_mixture = hasattr(cls, "mixture")
+    if has_mixture:
+        assert model.mixture().truncation_error_bound < 1e-12
+    # `auto` takes the mixture route exactly where the baseline has one
+    resolved = co._resolve(co.CompositeModel(2.5, 1.0, model), co.Strategy.AUTO)
+    assert (resolved is co.Strategy.MIXTURE) == has_mixture

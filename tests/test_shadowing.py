@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import typing
 
 import numpy as np
 import pytest
@@ -138,3 +140,14 @@ class TestSampling:
             sh.sample_inverse_gamma(1.0, 1.0, 10, seed=0)
         with pytest.raises(ValueError):
             sh.sample_inverse_gamma(2.0, 1.0, 0, seed=0)
+
+
+@pytest.mark.parametrize("cls", typing.get_args(sh.ShadowingModel), ids=lambda c: c.__name__)
+def test_every_law_implements_cdf_and_pdf(cls):
+    model = cls(**{f.name: 1.5 for f in dataclasses.fields(cls)})
+    y = np.array([0.5, 1.0, 2.0])
+    cdf, pdf = model.cdf(y), model.pdf(y)
+    assert np.all((cdf > 0) & (cdf < 1)) and np.all(np.diff(cdf) > 0)
+    assert np.all(pdf > 0)
+    assert sh.cdf(model, 1.0) == model.cdf(1.0) == cdf[1]
+    assert sh.pdf(model, 1.0) == model.pdf(1.0) == pdf[1]

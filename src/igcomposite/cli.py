@@ -88,7 +88,13 @@ def _parse_fading(doc: dict) -> fading.FadingModel:
 def _as_number(value, field: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{field}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond double range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{field}: expected a finite number, got {value!r}")
+    return number
 
 
 def parse_model_config(text: str) -> composite.CompositeModel:

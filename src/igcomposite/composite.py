@@ -79,10 +79,10 @@ class CompositeModel:
     baseline: fading.FadingModel
 
     def __post_init__(self):
-        if not self.m > 1:
-            raise ValueError(f"CompositeModel: m must be > 1, got {self.m}")
-        if not self.w_bar > 0:
-            raise ValueError(f"CompositeModel: w_bar must be > 0, got {self.w_bar}")
+        if not 1 < self.m < math.inf:
+            raise ValueError(f"CompositeModel: m must be finite and > 1, got {self.m}")
+        if not 0 < self.w_bar < math.inf:
+            raise ValueError(f"CompositeModel: w_bar must be finite and > 0, got {self.w_bar}")
         # mean power lives in w_bar only; the baseline is renormalized
         object.__setattr__(
             self, "baseline", dataclasses.replace(self.baseline, omega_x=1.0)

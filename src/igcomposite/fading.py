@@ -6,8 +6,10 @@ it: the power PDF (`pdf`), the generalized MGF phi^(p)(s) = E[X^p e^{sX}]
 periodic integral over the phase angle), the small-argument power law of
 the PDF (`tail`), a physically constructed sampler (`draw`) and, for the
 six baselines that have one, a gamma-mixture representation (`mixture`).
-The module functions of the same names dispatch to these methods. All
-power variables carry mean omega_x; evaluations are pure functions.
+Those six state their mixture law once, as the first component's shape,
+the common scale and the log weights; `mixture` and `tail` both derive
+from it. The module functions of the same names dispatch to these methods.
+All power variables carry mean omega_x; evaluations are pure functions.
 """
 
 from __future__ import annotations
@@ -83,13 +85,12 @@ class TailParams:
 class _Baseline:
     """Argument handling shared by every baseline. A model supplies
     `_pdf(x, tol)` and `_gmgf_log(p, s, tol)` on float arrays, plus `tail()`
-    and `draw(rng, count)`; `mixture(tol)` only where it has one. A baseline
-    whose law is a special case of another model names that model as
-    `_law` instead and keeps only its own sampler (and mixture)."""
+    and `draw(rng, count)`. A baseline whose law is a special case of
+    another model names that model as `_law` instead and keeps only its own
+    sampler."""
 
     def pdf(self, x, tol: Tolerance = DEFAULT_TOL):
-        """Power PDF at x > 0; vectorized (TWDP point by point, as its PDF
-        is a periodic integral)."""
+        """Power PDF at x > 0; vectorized."""
         arr = np.asarray(x, dtype=float)
         if np.any(arr <= 0):
             raise ValueError("fading.pdf: support is x > 0")
@@ -114,6 +115,29 @@ class _Baseline:
         return self._law.tail()
 
 
+class _MixtureBaseline(_Baseline):
+    """A baseline whose power PDF is a gamma mixture. It supplies
+    `_mixture_law(tol)` -> (ln_weight, shape, scale), or inherits it from
+    its `_law`: component i has weight exp(ln_weight(i)), shape `shape` + i
+    and mean (shape + i) * scale. `mixture` and `tail` both derive from it."""
+
+    def _mixture_law(self, tol: Tolerance):
+        return self._law._mixture_law(tol)
+
+    def mixture(self, tol: Tolerance = DEFAULT_TOL) -> GammaMixture:
+        return _gamma_mixture(self, *self._mixture_law(tol), tol=tol)
+
+    def tail(self) -> TailParams:
+        # component i vanishes like x^(shape+i-1) at the origin, so the
+        # first, w_0 x^(shape-1) / (Gamma(shape) scale^shape), is the law
+        ln_weight, shape, scale = self._mixture_law(DEFAULT_TOL)
+        return TailParams(
+            math.exp(ln_weight(0) - shape * math.log(scale / self.omega_x)
+                     - math.lgamma(shape)),
+            shape - 1.0,
+        )
+
+
 def _check_power(omega_x: float) -> None:
     if not omega_x > 0:
         raise ValueError(f"omega_x must be > 0, got {omega_x}")
@@ -131,10 +155,6 @@ def _gamma_pdf(k: float, om: float, x: np.ndarray) -> np.ndarray:
 def _gamma_gmgf_log(k: float, om: float, p: np.ndarray, s: np.ndarray) -> np.ndarray:
     return sc.gammaln(p + k) - sc.gammaln(k) + p * math.log(om / k) \
         - (p + k) * np.log1p(-s * om / k)
-
-
-def _one_gamma(k: float, om: float) -> GammaMixture:
-    return GammaMixture((GammaTerm(1.0, k, om),), 0.0)
 
 
 def _ln_hyp1f1(a, b: float, w) -> np.ndarray:
@@ -162,11 +182,11 @@ def _ln_hyp2f1(a, b, c, z) -> np.ndarray:
 
 def _gamma_mixture(model, ln_weight: Callable[[int], float], shape: float,
                    scale: float, tol: Tolerance) -> GammaMixture:
-    """The one gamma-mixture loop: component i has weight exp(ln_weight(i)),
-    shape `shape` + i and mean (shape + i) * scale. Each model's ln_weight
-    carries its normalization, so the weights are probabilities, no
-    intermediate overflows, and 1 - (their running sum) is the mass still
-    left out; the loop stops once that is below tol.rel_tol / 100."""
+    """The one gamma-mixture loop, over a `_MixtureBaseline._mixture_law`.
+    Each model's ln_weight carries its normalization, so the weights are
+    probabilities, no intermediate overflows, and 1 - (their running sum)
+    is the mass still left out; the loop stops once that is below
+    tol.rel_tol / 100."""
     cap = tol.rel_tol * 1e-2
     terms = []
     mass = 0.0
@@ -184,9 +204,9 @@ def _gamma_mixture(model, ln_weight: Callable[[int], float], shape: float,
 
 
 def _poisson_ln_weight(rate: float) -> Callable[[int], float]:
-    """i -> ln of the Poisson(rate) probability of i, for rate > 0."""
-    ln_rate = math.log(rate)
-    return lambda i: i * ln_rate - rate - math.lgamma(i + 1.0)
+    """i -> ln of the Poisson(rate) probability of i, for rate >= 0 (at
+    rate 0 all mass is at i = 0)."""
+    return lambda i: sc.xlogy(i, rate) - rate - math.lgamma(i + 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -194,9 +214,9 @@ def _poisson_ln_weight(rate: float) -> Callable[[int], float]:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Rayleigh(_Baseline):
-    """Diffuse scatter only: the Nakagami-m law at m_f = 1, sampled as a
-    zero-mean complex Gaussian."""
+class Rayleigh(_MixtureBaseline):
+    """Diffuse scatter only: the kappa-mu law at kappa = 0 and mu = 1 (the
+    exponential law), sampled as a zero-mean complex Gaussian."""
 
     omega_x: float = 1.0
 
@@ -204,11 +224,8 @@ class Rayleigh(_Baseline):
         _check_power(self.omega_x)
 
     @property
-    def _law(self) -> NakagamiM:
-        return NakagamiM(1.0, self.omega_x)
-
-    def mixture(self, tol: Tolerance = DEFAULT_TOL) -> GammaMixture:
-        return self._law.mixture(tol)
+    def _law(self) -> KappaMu:
+        return KappaMu(0.0, 1.0, self.omega_x)
 
     def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
         a = rng.normal(scale=math.sqrt(self.omega_x / 2.0), size=count)
@@ -217,7 +234,10 @@ class Rayleigh(_Baseline):
 
 
 @dataclass(frozen=True)
-class NakagamiM(_Baseline):
+class NakagamiM(_MixtureBaseline):
+    """The gamma power law of shape m_f: kappa-mu at kappa = 0 and
+    mu = m_f."""
+
     m_f: float
     omega_x: float = 1.0
 
@@ -226,25 +246,16 @@ class NakagamiM(_Baseline):
         if not self.m_f >= 0.5:
             raise ValueError(f"NakagamiM: m_f must be >= 0.5, got {self.m_f}")
 
-    def _pdf(self, x, tol):
-        return _gamma_pdf(self.m_f, self.omega_x, x)
-
-    def _gmgf_log(self, p, s, tol):
-        return _gamma_gmgf_log(self.m_f, self.omega_x, p, s)
-
-    def mixture(self, tol: Tolerance = DEFAULT_TOL) -> GammaMixture:
-        return _one_gamma(self.m_f, self.omega_x)
-
-    def tail(self) -> TailParams:
-        mf = self.m_f
-        return TailParams(math.exp(mf * math.log(mf) - sc.gammaln(mf)), mf - 1.0)
+    @property
+    def _law(self) -> KappaMu:
+        return KappaMu(0.0, self.m_f, self.omega_x)
 
     def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
         return rng.gamma(shape=self.m_f, scale=self.omega_x / self.m_f, size=count)
 
 
 @dataclass(frozen=True)
-class KappaMu(_Baseline):
+class KappaMu(_MixtureBaseline):
     kappa: float
     mu: float
     omega_x: float = 1.0
@@ -289,20 +300,10 @@ class KappaMu(_Baseline):
             + _ln_hyp1f1(mu + p, mu, mu * mu * kap * (1.0 + kap) / den)
         )
 
-    def mixture(self, tol: Tolerance = DEFAULT_TOL) -> GammaMixture:
-        # Poisson(mu kappa) weights; component i has shape mu + i
+    def _mixture_law(self, tol):
+        # Poisson(mu kappa) weights
         kap, mu = self.kappa, self.mu
-        if kap == 0:
-            return _one_gamma(mu, self.omega_x)
-        return _gamma_mixture(self, _poisson_ln_weight(mu * kap), mu,
-                              self.omega_x / (mu * (1.0 + kap)), tol)
-
-    def tail(self) -> TailParams:
-        kap, mu = self.kappa, self.mu
-        return TailParams(
-            math.exp(mu * math.log(mu * (1.0 + kap)) - mu * kap - sc.gammaln(mu)),
-            mu - 1.0,
-        )
+        return _poisson_ln_weight(mu * kap), mu, self.omega_x / (mu * (1.0 + kap))
 
     def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
         kap, mu = self.kappa, self.mu
@@ -311,7 +312,7 @@ class KappaMu(_Baseline):
 
 
 @dataclass(frozen=True)
-class Rician(_Baseline):
+class Rician(_MixtureBaseline):
     """A fixed specular ray plus diffuse scatter. Its law is kappa-mu at
     mu = 1 and kappa = k_r; the sampler is its own."""
 
@@ -326,13 +327,6 @@ class Rician(_Baseline):
     @property
     def _law(self) -> KappaMu:
         return KappaMu(self.k_r, 1.0, self.omega_x)
-
-    def mixture(self, tol: Tolerance = DEFAULT_TOL) -> GammaMixture:
-        # the kappa-mu loop, built here so that its errors name Rician
-        K = self.k_r
-        if K == 0:
-            return _one_gamma(1.0, self.omega_x)
-        return _gamma_mixture(self, _poisson_ln_weight(K), 1.0, self.omega_x / (1.0 + K), tol)
 
     def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
         K, om = self.k_r, self.omega_x
@@ -436,7 +430,7 @@ class Hoyt(_Baseline):
 
 
 @dataclass(frozen=True)
-class KappaMuShadowed(_Baseline):
+class KappaMuShadowed(_MixtureBaseline):
     kappa: float
     mu: float
     m_f: float
@@ -487,29 +481,16 @@ class KappaMuShadowed(_Baseline):
             )
         )
 
-    def mixture(self, tol: Tolerance = DEFAULT_TOL) -> GammaMixture:
-        # negative-binomial(m_f, mu kappa / (mu kappa + m_f)) weights;
-        # component i has shape mu + i
+    def _mixture_law(self, tol):
+        # negative-binomial(m_f, mu kappa / (mu kappa + m_f)) weights
         kap, mu, mf = self.kappa, self.mu, self.m_f
-        if kap == 0:
-            return _one_gamma(mu, self.omega_x)
-        ln_ratio = math.log(mu * kap) - math.log(mu * kap + mf)
+        ratio = mu * kap / (mu * kap + mf)
         base = mf * (math.log(mf) - math.log(mu * kap + mf)) - math.lgamma(mf)
 
         def ln_weight(i: int) -> float:
-            return math.lgamma(mf + i) - math.lgamma(i + 1.0) + i * ln_ratio + base
+            return math.lgamma(mf + i) - math.lgamma(i + 1.0) + sc.xlogy(i, ratio) + base
 
-        return _gamma_mixture(self, ln_weight, mu, self.omega_x / (mu * (1.0 + kap)), tol)
-
-    def tail(self) -> TailParams:
-        kap, mu, mf = self.kappa, self.mu, self.m_f
-        return TailParams(
-            math.exp(
-                mu * math.log(mu * (1.0 + kap)) + mf * math.log(mf)
-                - sc.gammaln(mu) - mf * math.log(mu * kap + mf)
-            ),
-            mu - 1.0,
-        )
+        return ln_weight, mu, self.omega_x / (mu * (1.0 + kap))
 
     def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
         kap, mu, mf = self.kappa, self.mu, self.m_f
@@ -521,7 +502,7 @@ class KappaMuShadowed(_Baseline):
 
 
 @dataclass(frozen=True)
-class TWDP(_Baseline):
+class TWDP(_MixtureBaseline):
     """Two specular rays plus diffuse scatter; k_r is the specular-to-diffuse
     power ratio and delta in [0, 1] the power balance of the two rays."""
 
@@ -537,29 +518,29 @@ class TWDP(_Baseline):
             raise ValueError(f"TWDP: delta must be in [0, 1], got {self.delta}")
 
     def _pdf(self, x, tol):
-        if self.k_r == 0:
-            return _gamma_pdf(1.0, self.omega_x, x)
-        flat = np.atleast_1d(x)
-        return np.array([self._pdf_point(u, tol) for u in flat]).reshape(x.shape)
-
-    def _pdf_point(self, u: float, tol: Tolerance) -> float:
+        """One periodic integral over the phase angle a per x, all x on one
+        shared grid. The integrand is e^{-K delta cos a} I_0(2 sqrt(A t))
+        with t = 1 + delta cos a and A = K (1 + K) x / omega_x; its exponent
+        -K (t - 1) + 2 sqrt(A t) is concave in t, so each column is divided
+        by its value at the peak t = A / K^2, clipped to [1 - delta,
+        1 + delta]."""
         K, D, om = self.k_r, self.delta, self.omega_x
-        c = K * (1.0 + K) / om
-        zmax = 2.0 * math.sqrt(c * u * (1.0 + D))
+        if K == 0:
+            return _gamma_pdf(1.0, om, x)
+        big_a = K * (1.0 + K) * x / om
+        t_peak = np.clip(big_a / (K * K), 1.0 - D, 1.0 + D)
+        ln_peak = -K * (t_peak - 1.0) + 2.0 * np.sqrt(big_a * t_peak)
 
         def integrand(alpha: np.ndarray) -> np.ndarray:
-            z = 2.0 * np.sqrt(c * u * (1.0 + D * np.cos(alpha)))
-            return np.exp(-K * D * np.cos(alpha) + z - zmax) * sc.i0e(z)
+            t = 1.0 + D * np.cos(alpha).reshape((-1,) + (1,) * x.ndim)
+            z = 2.0 * np.sqrt(big_a * t)
+            return np.exp(z - K * (t - 1.0) - ln_peak) * sc.i0e(z)
 
-        val, _ = integrate_finite(integrand, 0.0, 2.0 * math.pi, tol, periodic=True)
-        ln_pdf = (
-            math.log((1.0 + K) / (2.0 * math.pi * om))
-            - (1.0 + K) * u / om
-            - K
-            + zmax
-            + math.log(val)
+        val, _ = integrate_finite(integrand, 0.0, 2.0 * math.pi, _phase_tol(tol),
+                                  periodic=True)
+        return (1.0 + K) / (2.0 * math.pi * om) * np.exp(
+            ln_peak - (1.0 + K) * x / om - K + np.log(val)
         )
-        return math.exp(ln_pdf) if ln_pdf > -745.0 else 0.0
 
     def _gmgf_log(self, p, s, tol):
         """One periodic integral per (p, s) pair of the broadcast p and s;
@@ -588,17 +569,9 @@ class TWDP(_Baseline):
             + np.log(val)
         )
 
-    def mixture(self, tol: Tolerance = DEFAULT_TOL) -> GammaMixture:
-        K, D, om = self.k_r, self.delta, self.omega_x
-        if K == 0:
-            return _one_gamma(1.0, om)
-        return _gamma_mixture(self, lambda j: twdp_ln_weight(j, K, D, tol), 1.0,
-                              om / (1.0 + K), tol)
-
-    def tail(self) -> TailParams:
-        # (1 + K) e^-K I_0(K delta), with I_0 scaled so that no factor overflows
+    def _mixture_law(self, tol):
         K, D = self.k_r, self.delta
-        return TailParams((1.0 + K) * math.exp(K * (D - 1.0)) * float(sc.i0e(K * D)), 0.0)
+        return lambda j: twdp_ln_weight(j, K, D, tol), 1.0, self.omega_x / (1.0 + K)
 
     def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
         v1, v2, sigma2 = twdp_specular_amplitudes(self)
@@ -615,8 +588,16 @@ FadingModel = Union[
 ]
 
 
+def _phase_tol(tol: Tolerance) -> Tolerance:
+    """The periodic rule's budget for TWDP's positive phase integrals:
+    relative only, as their values can be far below any absolute floor."""
+    return Tolerance(rel_tol=min(tol.rel_tol, 1e-12), abs_tol=0.0,
+                     max_terms=tol.max_terms, max_subdivisions=tol.max_subdivisions)
+
+
 def twdp_ln_weight(j: int, K: float, D: float, tol: Tolerance = DEFAULT_TOL) -> float:
-    """ln of the j-th TWDP mixture weight, for K > 0.
+    """ln of the j-th TWDP mixture weight, for K > 0 (and j = 0 at K = 0,
+    where it is 0).
 
     The defining double Bessel sum alternates with exponentially growing
     terms, so the weight is taken in its positive phase-average form (from
@@ -625,9 +606,6 @@ def twdp_ln_weight(j: int, K: float, D: float, tol: Tolerance = DEFAULT_TOL) -> 
     over the phase a. The integrand is divided by its largest value, which
     lambda = clip(j, K(1-D), K(1+D)) attains, so it lies in [0, 1].
     """
-    quad_tol = Tolerance(rel_tol=min(tol.rel_tol, 1e-12), abs_tol=0.0,
-                         max_terms=tol.max_terms,
-                         max_subdivisions=tol.max_subdivisions)
     peak = min(max(j, K * (1.0 - D)), K * (1.0 + D))
     ln_peak = sc.xlogy(j, peak) - peak
 
@@ -635,7 +613,7 @@ def twdp_ln_weight(j: int, K: float, D: float, tol: Tolerance = DEFAULT_TOL) -> 
         lam = K * (1.0 + D * np.cos(alpha))
         return np.exp(sc.xlogy(j, lam) - lam - ln_peak)
 
-    val, _ = integrate_finite(integrand, 0.0, 2.0 * math.pi, quad_tol, periodic=True)
+    val, _ = integrate_finite(integrand, 0.0, 2.0 * math.pi, _phase_tol(tol), periodic=True)
     return ln_peak - math.lgamma(j + 1.0) + math.log(val / (2.0 * math.pi))
 
 
@@ -672,7 +650,8 @@ def gmgf(model: FadingModel, p: float, s: float, tol: Tolerance = DEFAULT_TOL) -
     ln_phi = gmgf_log(model, p, s, tol)
     if math.isnan(ln_phi):
         raise ConvergenceError(
-            f"{type(model).__name__} GMGF lost all precision at p = {p}",
+            f"{model!r}: GMGF lost all precision at p = {p}, s = {s} (a hypergeometric "
+            "factor of it left double range)",
             estimate=math.nan, error_bound=math.inf,
         )
     return math.exp(ln_phi)
@@ -693,8 +672,9 @@ def gamma_mixture(model: FadingModel, tol: Tolerance = DEFAULT_TOL) -> GammaMixt
 
 def tail_params(model: FadingModel) -> TailParams:
     """Power-law parameters of the PDF near the origin,
-    f(x) ~ (alpha/omega_x) (x/omega_x)^beta, from the exact small-x limit of
-    each model's PDF (Bessel I_nu(z) ~ (z/2)^nu / Gamma(nu+1), 1F1 -> 1)."""
+    f(x) ~ (alpha/omega_x) (x/omega_x)^beta: the first gamma component of a
+    mixture baseline, the exact small-x limit of the eta-mu PDF for Hoyt and
+    eta-mu."""
     return model.tail()
 
 

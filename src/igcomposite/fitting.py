@@ -82,8 +82,8 @@ class _CvmQuadrature:
     _GL64 = np.polynomial.legendre.leggauss(64)
 
     def __init__(self, ecdf: EmpiricalCdf, support_pad: float):
-        if support_pad < 0:
-            raise ValueError(f"support_pad must be >= 0, got {support_pad}")
+        if not 0 <= support_pad < math.inf:
+            raise ValueError(f"support_pad must be finite and >= 0, got {support_pad}")
         t, f = ecdf.t, ecdf.f
         nodes = []
         weights = []
@@ -406,9 +406,9 @@ def compare_families(
     """
     if not families:
         raise ValueError("compare_families: no families requested")
-    if not 1 <= multistart <= len(_LATTICE) or support_pad < 0:
+    if not (1 <= multistart <= len(_LATTICE) and 0 <= support_pad < math.inf):
         raise ValueError(f"compare_families: need multistart 1 to {len(_LATTICE)} (the "
-                         f"{len(_LATTICE)}-point start lattice) and support_pad >= 0, "
+                         f"{len(_LATTICE)}-point start lattice) and a finite support_pad >= 0, "
                          f"got {multistart} and {support_pad}")
     results: list[FitResult] = []
     failures: list[str] = []

@@ -95,6 +95,22 @@ class TestEval:
                      "--grid", "1:1:1"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cfg, field", [
+        ('{"shadowing":{"m":Infinity},"fading":{"type":"rayleigh"}}', "shadowing.m"),
+        ('{"shadowing":{"m":2},"fading":{"type":"rayleigh"},"mean_power":Infinity}',
+         "mean_power"),
+        ('{"shadowing":{"m":2},"fading":{"type":"rician","k_r":Infinity}}', "fading.k_r"),
+        ('{"shadowing":{"m":2},"fading":{"type":"nakagami","m_f":Infinity}}', "fading.m_f"),
+        ('{"shadowing":{"m":NaN},"fading":{"type":"rayleigh"}}', "shadowing.m"),
+        ('{"shadowing":{"m":1%s},"fading":{"type":"rayleigh"}}' % ("0" * 400), "shadowing.m"),
+    ], ids=["m-inf", "mean-power-inf", "k_r-inf", "m_f-inf", "m-nan", "m-int-1e400"])
+    def test_non_finite_config_number_exits_2(self, cfg, field, capsys):
+        # json accepts Infinity, NaN and integers beyond double range; no
+        # model parameter can take them, and m -> inf is not a composite
+        assert main(["eval", "--config", cfg, "--quantity", "cdf",
+                     "--grid", "0.5:0.5:1"]) == 2
+        assert f"error: {field}: expected a finite number" in capsys.readouterr().err
+
     def test_bad_grid_exits_2(self):
         assert main(["eval", "--config", RAYLEIGH_CFG, "--quantity", "pdf",
                      "--grid", "2:1:1"]) == 2
@@ -296,7 +312,8 @@ class TestFit:
                      "--families", "gamma"]) == 4
 
     @pytest.mark.parametrize("option", [["--multistart", "0"], ["--pad", "-1"],
-                                        ["--multistart", "14"]])
+                                        ["--multistart", "14"], ["--pad", "nan"],
+                                        ["--pad", "inf"]])
     def test_invalid_fit_option_exits_2(self, tmp_path, option, capsys):
         data = tmp_path / "d.csv"
         self._write_samples(data, np.log(sh.sample_inverse_gamma(5.0, 1.0, 200, seed=5)))

@@ -96,6 +96,13 @@ class TestCompositeModel:
         with pytest.raises(ValueError):
             co.CompositeModel(m=2.0, w_bar=0.0, baseline=fa.Rayleigh())
 
+    @pytest.mark.parametrize("m, w_bar", [(math.inf, 1.0), (math.nan, 1.0),
+                                          (2.0, math.inf), (2.0, math.nan)])
+    def test_non_finite_parameters_rejected(self, m, w_bar):
+        # m -> inf is the unshadowed baseline, not a value the F laws can take
+        with pytest.raises(ValueError, match="finite"):
+            co.CompositeModel(m, w_bar, fa.Rayleigh())
+
     def test_baseline_renormalized(self):
         model = co.CompositeModel(m=2.0, w_bar=3.0, baseline=fa.Rician(4.0, omega_x=7.0))
         assert model.baseline.omega_x == 1.0

@@ -172,8 +172,12 @@ class TestGmgf:
         # 12230.80 for Hoyt at p = 2000, s = -1): the log is unknown, so it is NaN, a
         # series reaching that term raises, and gmgf raises
         assert math.isnan(fa.gmgf_log(model, p, s))
-        with pytest.raises(nm.ConvergenceError, match="lost all precision"):
+        with pytest.raises(nm.ConvergenceError, match="lost all precision") as exc:
             fa.gmgf(model, p, s)
+        # the message names the model (e.g. `Hoyt(q=0.5, ...`), p, s and the cause
+        assert repr(model) in str(exc.value)
+        assert f"p = {p}, s = {s}" in str(exc.value)
+        assert "left double range" in str(exc.value)
         # in an array only the overflowing entry turns NaN
         low, high = fa.gmgf_log(model, np.array([3.0, p]), s)
         assert low == pytest.approx(fa.gmgf_log(model, 3.0, s), rel=1e-12)
@@ -285,6 +289,30 @@ class TestPdf:
         with pytest.raises(ValueError):
             fa.pdf(fa.Rayleigh(), 0.0)
 
+    @pytest.mark.parametrize("model, xs", [
+        (fa.TWDP(400.0, 0.5), [2.524]),
+        (fa.TWDP(30.0, 1.0, omega_x=1.3), 1.3 * np.logspace(-4, 1, 6)),
+    ], ids=["K400-tail-point", "K30-log-grid"])
+    def test_twdp_against_mpmath(self, model, xs):
+        # far in the tail (1.1e-24 at the first point, 8e-28 at x = 13 in
+        # the second) the phase integral must still meet its relative budget
+        K, D, om = (mpmath.mpf(v) for v in (model.k_r, model.delta, model.omega_x))
+
+        def ref(x):
+            x = mpmath.mpf(x)
+            big_a = K * (1 + K) * x / om
+            inner = mpmath.quad(
+                lambda a: mpmath.exp(-K * D * mpmath.cos(a))
+                * mpmath.besseli(0, 2 * mpmath.sqrt(big_a * (1 + D * mpmath.cos(a)))),
+                mpmath.linspace(0, mpmath.pi, 9), method="gauss-legendre",
+            )
+            return (1 + K) / (mpmath.pi * om) * mpmath.exp(-(1 + K) * x / om - K) * inner
+
+        got = fa.pdf(model, np.asarray(xs))
+        with mpmath.workdps(20):
+            want = np.array([float(ref(x)) for x in xs])
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
+
 
 class TestGammaMixture:
     def test_nakagami_single_term(self):
@@ -371,6 +399,18 @@ class TestGammaMixture:
         with pytest.raises(nm.ConvergenceError, match=r"KappaMuShadowed\(kappa=800.*5000 terms"):
             fa.gamma_mixture(fa.KappaMuShadowed(800.0, 1.0, 2.0))
 
+    @pytest.mark.parametrize("model", [
+        fa.KappaMu(0.0, 2.5), fa.KappaMuShadowed(0.0, 1.5, 2.0), fa.TWDP(0.0, 0.4),
+        fa.Rician(0.0), fa.Rayleigh(1.3), fa.NakagamiM(2.3, omega_x=1.4),
+    ], ids=repr)
+    def test_no_line_of_sight_is_one_gamma(self, model):
+        # at rate 0 the log weights put all mass on the first component
+        mix = fa.gamma_mixture(model)
+        assert len(mix.terms) == 1
+        assert mix.terms[0].weight == 1.0
+        assert mix.truncation_error_bound == 0.0
+        assert mix.terms[0].omega == pytest.approx(model.omega_x, rel=1e-15)
+
     @pytest.mark.parametrize("model", [fa.Rician(1000.0), fa.KappaMu(400.0, 2.0),
                                        fa.TWDP(400.0, 0.5)], ids=repr)
     def test_strong_line_of_sight_weights_are_probabilities(self, model):
@@ -383,7 +423,42 @@ class TestGammaMixture:
         assert mix.truncation_error_bound < 1e-12
 
 
+def _closed_form_tail_alpha(model) -> float:
+    """alpha of each mixture baseline's small-x law, from the limit of its
+    PDF (I_nu(z) ~ (z/2)^nu / Gamma(nu+1), 1F1 -> 1)."""
+    if isinstance(model, fa.Rayleigh):
+        return 1.0
+    if isinstance(model, fa.NakagamiM):
+        mf = model.m_f
+        return math.exp(mf * math.log(mf) - math.lgamma(mf))
+    if isinstance(model, (fa.Rician, fa.KappaMu)):
+        kap, mu = (model.k_r, 1.0) if isinstance(model, fa.Rician) else (model.kappa, model.mu)
+        return math.exp(mu * math.log(mu * (1 + kap)) - mu * kap - math.lgamma(mu))
+    if isinstance(model, fa.KappaMuShadowed):
+        kap, mu, mf = model.kappa, model.mu, model.m_f
+        return math.exp(mu * math.log(mu * (1 + kap)) + mf * math.log(mf)
+                        - math.lgamma(mu) - mf * math.log(mu * kap + mf))
+    # TWDP: (1 + K) e^-K I_0(K delta), with I_0 scaled so that no factor overflows
+    K, D = model.k_r, model.delta
+    return (1 + K) * math.exp(K * (D - 1)) * float(sc.i0e(K * D))
+
+
 class TestTailParams:
+    @pytest.mark.parametrize("model", [
+        fa.Rayleigh(1.3), fa.NakagamiM(2.3, omega_x=1.7), fa.NakagamiM(0.5),
+        fa.Rician(4.0, omega_x=0.5), fa.Rician(0.0), fa.Rician(500.0),
+        fa.KappaMu(2.0, 1.5, omega_x=0.7), fa.KappaMu(0.0, 2.5), fa.KappaMu(400.0, 2.0),
+        fa.KappaMuShadowed(2.0, 1.5, 3.0, omega_x=0.9), fa.KappaMuShadowed(0.0, 1.5, 2.0),
+        fa.TWDP(4.0, 0.9, omega_x=1.1), fa.TWDP(0.0, 0.4), fa.TWDP(1000.0, 1.0),
+        fa.TWDP(400.0, 0.5), fa.TWDP(3.0, 0.0),
+    ], ids=repr)
+    def test_first_component_matches_closed_form(self, model):
+        # every mixture baseline takes its tail from its first gamma component
+        tp = model.tail()
+        shape = model.mixture().terms[0].shape
+        assert tp.beta == shape - 1.0
+        assert tp.alpha == pytest.approx(_closed_form_tail_alpha(model), rel=1e-12)
+
     def test_closed_forms(self):
         tp = fa.tail_params(fa.TWDP(0.0, 0.4))
         assert (tp.alpha, tp.beta) == (1.0, 0.0)
@@ -498,6 +573,9 @@ def test_every_baseline_implements_the_method_set(cls):
     assert model.tail().alpha > 0
     assert model.draw(np.random.default_rng(1), 3).shape == (3,)
     has_mixture = hasattr(cls, "mixture")
+    # the six mixture baselines, and only they, derive from the mixture base
+    assert has_mixture == issubclass(cls, fa._MixtureBaseline) == (cls.__name__ in {
+        "Rayleigh", "Rician", "NakagamiM", "KappaMu", "KappaMuShadowed", "TWDP"})
     if has_mixture:
         assert model.mixture().truncation_error_bound < 1e-12
     # `auto` takes the mixture route exactly where the baseline has one

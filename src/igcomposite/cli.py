@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import composite, fading, fitting, montecarlo
-from .numerics import DEFAULT_TOL, ConvergenceError, integrate_semi_infinite
+from .numerics import ConvergenceError, Tolerance, integrate_semi_infinite
 
 _FADING_TYPES = {
     "rayleigh": fading.Rayleigh,
@@ -213,11 +213,14 @@ def _read_fit_csv(path: str) -> tuple[str, np.ndarray, np.ndarray | None]:
                 raise ConfigError(f"data: line {lineno}: expected {ncol} column(s)")
             for j, tok in enumerate(row):
                 try:
-                    cols[j].append(float(tok))
+                    v = float(tok)
                 except ValueError:
                     raise ConfigError(
                         f"data: line {lineno}: not a number: {tok!r}"
                     ) from None
+                if not math.isfinite(v):
+                    raise ConfigError(f"data: line {lineno}: not a finite number: {tok!r}")
+                cols[j].append(v)
     if not cols[0]:
         raise ConfigError("data: no rows")
     if kind == "samples":
@@ -315,11 +318,14 @@ def _cmd_gmgf(args) -> int:
     print(f"gmgf {_fmt(value)}")
     if args.check:
         def integrand(x: np.ndarray) -> np.ndarray:
-            x = np.maximum(x, 1e-300)
-            return x**args.p * np.exp(args.s * x) * fading.pdf(model, x)
+            # in log space: x**p overflows where the density has long underflowed
+            with np.errstate(divide="ignore"):
+                return np.exp(args.p * np.log(x) + args.s * x + np.log(fading.pdf(model, x)))
 
-        numeric, _ = integrate_semi_infinite(integrand, DEFAULT_TOL)
-        rel = abs(value - numeric) / abs(numeric)
+        # relative only: a GMGF can be far below any absolute floor
+        numeric, _ = integrate_semi_infinite(integrand, Tolerance(abs_tol=0.0))
+        rel = (abs(value - numeric) / abs(numeric) if numeric
+               else 0.0 if value == 0 else math.inf)
         print(f"numeric {_fmt(numeric)}")
         print(f"rel_diff {_fmt(rel)}")
     return 0

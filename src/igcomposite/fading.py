@@ -56,6 +56,10 @@ __all__ = [
 # components the gamma-mixture loop may build before it gives up
 _MIXTURE_TERMS = 5000
 
+# A far-tail density whose log is bounded below this rounds to 0; there
+# its special-function factor, which can be NaN so far out, is not evaluated
+_LN_UNDERFLOW = -745.0
+
 
 @dataclass(frozen=True)
 class GammaTerm:
@@ -282,7 +286,8 @@ class KappaMu(_MixtureBaseline):
             - mu * (1.0 + kap) * x / om
             + z
         )
-        return np.exp(lead) * sc.ive(mu - 1.0, z)
+        # ive(v, z) <= 1 for z >= 1, so lead bounds the log density there
+        return np.exp(lead) * sc.ive(mu - 1.0, np.where(lead < _LN_UNDERFLOW, np.minimum(z, 1.0), z))
 
     def _gmgf_log(self, p, s, tol):
         kap, mu, om = self.kappa, self.mu, self.omega_x
@@ -368,7 +373,8 @@ class EtaMu(_Baseline):
             - 2.0 * mu * h * x / om
             + z
         )
-        return np.exp(lead) * sc.ive(mu - 0.5, z)
+        # ive(v, z) <= 1 for z >= 1, so lead bounds the log density there
+        return np.exp(lead) * sc.ive(mu - 0.5, np.where(lead < _LN_UNDERFLOW, np.minimum(z, 1.0), z))
 
     def _gmgf_log(self, p, s, tol):
         eta, mu, om = self.eta, self.mu, self.omega_x
@@ -460,7 +466,13 @@ class KappaMuShadowed(_MixtureBaseline):
             + (mu - 1.0) * np.log(x / om)
             - mu * (1.0 + kap) * x / om
         )
-        return np.exp(lead + _ln_hyp1f1(mf, mu, w))
+        # with c = max(m_f - mu, 0), ln 1F1(m_f; mu; w) <= w + c ln(m_f + w + c
+        # + 1) + max(ln Gamma(mu) - ln Gamma(m_f), 0), by the convexity of
+        # ln Gamma and a bound on Poisson moments
+        c = max(mf - mu, 0.0)
+        far = lead + w + c * np.log(mf + w + c + 1.0) \
+            + max(math.lgamma(mu) - math.lgamma(mf), 0.0) < _LN_UNDERFLOW
+        return np.where(far, 0.0, np.exp(lead + _ln_hyp1f1(mf, mu, np.where(far, 0.0, w))))
 
     def _gmgf_log(self, p, s, tol):
         kap, mu, mf, om = self.kappa, self.mu, self.m_f, self.omega_x
@@ -523,24 +535,26 @@ class TWDP(_MixtureBaseline):
         with t = 1 + delta cos a and A = K (1 + K) x / omega_x; its exponent
         -K (t - 1) + 2 sqrt(A t) is concave in t, so each column is divided
         by its value at the peak t = A / K^2, clipped to [1 - delta,
-        1 + delta]."""
+        1 + delta]. Divided, it is at most 1, which bounds the density; the
+        columns where that bound underflows are 0 and are not integrated."""
         K, D, om = self.k_r, self.delta, self.omega_x
         if K == 0:
             return _gamma_pdf(1.0, om, x)
         big_a = K * (1.0 + K) * x / om
         t_peak = np.clip(big_a / (K * K), 1.0 - D, 1.0 + D)
         ln_peak = -K * (t_peak - 1.0) + 2.0 * np.sqrt(big_a * t_peak)
+        ln_scale = ln_peak - (1.0 + K) * x / om - K
+        keep = ln_scale + math.log((1.0 + K) / om) >= _LN_UNDERFLOW
 
         def integrand(alpha: np.ndarray) -> np.ndarray:
-            t = 1.0 + D * np.cos(alpha).reshape((-1,) + (1,) * x.ndim)
-            z = 2.0 * np.sqrt(big_a * t)
-            return np.exp(z - K * (t - 1.0) - ln_peak) * sc.i0e(z)
+            t = 1.0 + D * np.cos(alpha)[:, None]
+            z = 2.0 * np.sqrt(big_a[keep] * t)
+            return np.exp(z - K * (t - 1.0) - ln_peak[keep]) * sc.i0e(z)
 
-        val, _ = integrate_finite(integrand, 0.0, 2.0 * math.pi, _phase_tol(tol),
-                                  periodic=True)
-        return (1.0 + K) / (2.0 * math.pi * om) * np.exp(
-            ln_peak - (1.0 + K) * x / om - K + np.log(val)
-        )
+        val, _ = integrate_finite(integrand, 0.0, 2.0 * math.pi, _phase_tol(tol))
+        out = np.zeros(x.shape)
+        out[keep] = (1.0 + K) / (2.0 * math.pi * om) * np.exp(ln_scale[keep] + np.log(val))
+        return out
 
     def _gmgf_log(self, p, s, tol):
         """One periodic integral per (p, s) pair of the broadcast p and s;
@@ -558,7 +572,7 @@ class TWDP(_MixtureBaseline):
             cos = np.cos(alpha).reshape((-1,) + (1,) * p.ndim)
             return np.exp(-K * D * cos) * sc.hyp1f1(p + 1.0, 1.0, c * (1.0 + D * cos))
 
-        val, _ = integrate_finite(integrand, 0.0, 2.0 * math.pi, tol, periodic=True)
+        val, _ = integrate_finite(integrand, 0.0, 2.0 * math.pi, tol)
         return (
             math.log(1.0 + K)
             - K
@@ -589,7 +603,7 @@ FadingModel = Union[
 
 
 def _phase_tol(tol: Tolerance) -> Tolerance:
-    """The periodic rule's budget for TWDP's positive phase integrals:
+    """The quadrature budget for TWDP's positive phase integrals:
     relative only, as their values can be far below any absolute floor."""
     return Tolerance(rel_tol=min(tol.rel_tol, 1e-12), abs_tol=0.0,
                      max_terms=tol.max_terms, max_subdivisions=tol.max_subdivisions)
@@ -613,7 +627,7 @@ def twdp_ln_weight(j: int, K: float, D: float, tol: Tolerance = DEFAULT_TOL) -> 
         lam = K * (1.0 + D * np.cos(alpha))
         return np.exp(sc.xlogy(j, lam) - lam - ln_peak)
 
-    val, _ = integrate_finite(integrand, 0.0, 2.0 * math.pi, _phase_tol(tol), periodic=True)
+    val, _ = integrate_finite(integrand, 0.0, 2.0 * math.pi, _phase_tol(tol))
     return ln_peak - math.lgamma(j + 1.0) + math.log(val / (2.0 * math.pi))
 
 

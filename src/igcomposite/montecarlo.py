@@ -39,6 +39,8 @@ class EmpiricalCdf:
         f = np.asarray(self.f, dtype=float)
         if t.ndim != 1 or t.size == 0 or t.shape != f.shape:
             raise ValueError("EmpiricalCdf: t and f must be matching nonempty 1-D arrays")
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(f))):
+            raise ValueError("EmpiricalCdf: t and f must be finite")
         if np.any(np.diff(t) <= 0):
             raise ValueError("EmpiricalCdf: abscissae must be strictly increasing")
         if np.any(np.diff(f) < 0) or np.any(f < 0) or np.any(f > 1):

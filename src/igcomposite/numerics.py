@@ -1,4 +1,6 @@
-"""Convergent series summation, adaptive quadrature, and the 1F2 series.
+"""Convergent series summation, one equally spaced quadrature rule
+(periodic and, through a double-exponential map, semi-infinite), and the
+1F2 series.
 
 Everything here is a pure function of its arguments; no global mutable state.
 The library's other special functions come from scipy.special directly.
@@ -103,129 +105,52 @@ def hyp1f2(a: float, b: float, c: float, z: float, tol: Tolerance = DEFAULT_TOL)
     )
 
 
-# Gauss-Kronrod 7/15 nodes on [-1, 1] with Gauss and Kronrod weights.
-_GK_NODES = np.array([
-    -0.991455371120813, -0.949107912342759, -0.864864423359769,
-    -0.741531185599394, -0.586087235467691, -0.405845151377397,
-    -0.207784955007898, 0.0, 0.207784955007898, 0.405845151377397,
-    0.586087235467691, 0.741531185599394, 0.864864423359769,
-    0.949107912342759, 0.991455371120813,
-])
-_GK_WK = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728, 0.204432940075298,
-    0.190350578064785, 0.169004726639267, 0.140653259715525,
-    0.104790010322250, 0.063092092629979, 0.022935322010529,
-])
-_GK_WG = np.array([
-    0.0, 0.129484966168870, 0.0, 0.279705391489277, 0.0,
-    0.381830050505119, 0.0, 0.417959183673469, 0.0,
-    0.381830050505119, 0.0, 0.279705391489277, 0.0,
-    0.129484966168870, 0.0,
-])
+def integrate_finite(
+    f: Callable[[np.ndarray], np.ndarray],
+    a: float,
+    b: float,
+    tol: Tolerance = DEFAULT_TOL,
+) -> tuple[float, float]:
+    """Integrate f over [a, b]; returns (value, error estimate).
 
-
-def _gk15(f: Callable[[np.ndarray], np.ndarray], a: float, b: float):
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    fx = np.asarray(f(mid + half * _GK_NODES), dtype=float)
-    k15 = half * float(np.dot(_GK_WK, fx))
-    g7 = half * float(np.dot(_GK_WG, fx))
-    err = (200.0 * abs(k15 - g7)) ** 1.5
-    err = min(err, abs(k15 - g7) * 200.0 + 1e-300)
-    # rounding floor: the difference formula cannot see summation noise
-    resabs = half * float(np.dot(_GK_WK, np.abs(fx)))
-    return k15, max(err, 10.0 * np.finfo(float).eps * resabs)
-
-
-def _integrate_periodic(f, a, b, tol: Tolerance):
-    # Equally spaced rectangle rule with point doubling: spectrally accurate
-    # for smooth periodic integrands. f may return an (n, ...) array of
-    # several integrands at the n points; all are refined until all converge.
+    Equally spaced rule from 16 points, doubled until two successive sums
+    agree: exponentially convergent for smooth f that is periodic or decays
+    double-exponentially at both ends. f takes an ndarray of nodes and may
+    return an (n, ...) array, one integrand per column; the value and error
+    are then arrays, and all columns are refined until all converge. A sum
+    that is not finite raises at once.
+    """
     n = 16
     h = (b - a) / n
     total = h * np.asarray(f(a + h * np.arange(n)), dtype=float).sum(axis=0)
+    err = math.inf
     for _ in range(tol.max_subdivisions):
+        if n > 1 << 20 or not np.all(np.isfinite(total)):
+            break
         mids = a + h * (np.arange(n) + 0.5)
         new_total = 0.5 * total + 0.5 * h * np.asarray(f(mids), dtype=float).sum(axis=0)
         err = np.abs(new_total - total)
         total, n, h = new_total, 2 * n, 0.5 * h
         if np.all(err <= np.maximum(tol.abs_tol, tol.rel_tol * np.abs(total))):
             return total, err
-        if n > 1 << 20:
-            break
-    raise ConvergenceError(
-        "periodic rule did not converge", estimate=total, error_bound=err
-    )
-
-
-def integrate_finite(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    tol: Tolerance = DEFAULT_TOL,
-    periodic: bool = False,
-) -> tuple[float, float]:
-    """Integrate f over [a, b]; returns (value, error estimate).
-
-    Adaptive Gauss-Kronrod 7/15 with worst-interval bisection. With
-    periodic=True an equally spaced rule with point doubling is used
-    instead, which converges exponentially for smooth periodic f.
-    f is called with an ndarray of nodes and must return matching values;
-    a periodic f may return an (n, ...) array, one integrand per column,
-    and then the value and error are arrays.
-    """
-    if periodic:
-        return _integrate_periodic(f, a, b, tol)
-    if a == b:
-        return 0.0, 0.0
-    val, err = _gk15(f, a, b)
-    intervals = [(err, a, b, val)]
-    for _ in range(tol.max_subdivisions):
-        total = sum(iv[3] for iv in intervals)
-        total_err = sum(iv[0] for iv in intervals)
-        if total_err <= max(tol.abs_tol, tol.rel_tol * abs(total)):
-            return total, total_err
-        worst = max(range(len(intervals)), key=lambda i: intervals[i][0])
-        _, lo, hi, _ = intervals.pop(worst)
-        mid = 0.5 * (lo + hi)
-        v1, e1 = _gk15(f, lo, mid)
-        v2, e2 = _gk15(f, mid, hi)
-        intervals.append((e1, lo, mid, v1))
-        intervals.append((e2, mid, hi, v2))
-    total = sum(iv[3] for iv in intervals)
-    total_err = sum(iv[0] for iv in intervals)
-    if total_err <= max(tol.abs_tol, tol.rel_tol * abs(total)):
-        return total, total_err
-    raise ConvergenceError(
-        f"integrate_finite exhausted {tol.max_subdivisions} subdivisions",
-        estimate=total,
-        error_bound=total_err,
-    )
+    why = "did not converge" if np.all(np.isfinite(total)) else "sum is not finite"
+    raise ConvergenceError(f"quadrature {why} on {n} points", estimate=total, error_bound=err)
 
 
 def integrate_semi_infinite(
     f: Callable[[np.ndarray], np.ndarray],
     tol: Tolerance = DEFAULT_TOL,
 ) -> tuple[float, float]:
-    """Integrate f over [0, inf) for integrands with decaying tails.
-
-    Uses the smooth monotone substitution x = t/(1-t) onto [0, 1), so the
-    whole half-line is covered and no separate truncation error arises; the
-    returned estimate is the quadrature error of the mapped integral.
-    """
+    """Integrate f over [0, inf), f integrable at 0 and decaying
+    exponentially, by `integrate_finite` after the double-exponential map
+    x = exp(t - e^-t) (Takahasi & Mori 1974) over t in [-6.5, ln 1e17],
+    i.e. x in [1e-292, 1e17]; the estimate is the mapped rule's error."""
 
     def mapped(t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        x = t / (1.0 - t)
-        with np.errstate(over="ignore", invalid="ignore"):
-            fx = np.asarray(f(x), dtype=float)
-            out = fx / (1.0 - t) ** 2
-        # decaying f underflows before the Jacobian overflows; clear the 0*inf
-        return np.where(fx == 0.0, 0.0, out)
+        x = np.exp(t - np.exp(-t))
+        return np.asarray(f(x), dtype=float) * x * (1.0 + np.exp(-t))
 
-    return integrate_finite(mapped, 0.0, 1.0, tol)
+    return integrate_finite(mapped, -6.5, math.log(1e17), tol)
 
 
 def sum_series(

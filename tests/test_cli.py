@@ -300,10 +300,12 @@ class TestFit:
 
     def test_malformed_csv_names_line(self, tmp_path, capsys):
         data = tmp_path / "bad.csv"
-        data.write_text("value\n1.0\nnot-a-number\n")
-        assert main(["fit", "--data", str(data), "--scale", "ln",
-                     "--families", "gamma"]) == 2
-        assert "line 3" in capsys.readouterr().err
+        for text in ("value\n1.0\nnot-a-number\n", "value\n1.0\nnan\n",
+                     "value\n1.0\ninf\n", "t,cdf\n1.0,0.5\nnan,1.0\n"):
+            data.write_text(text)
+            assert main(["fit", "--data", str(data), "--scale", "ln",
+                         "--families", "gamma"]) == 2
+            assert "line 3" in capsys.readouterr().err
 
     def test_all_fits_fail_exits_4(self, tmp_path):
         data = tmp_path / "flat.csv"
@@ -367,13 +369,31 @@ class TestGmgf:
         out = capsys.readouterr().out
         assert float(out.split()[1]) == pytest.approx(1.0, rel=1e-10)
 
-    def test_twdp_check(self, capsys):
-        rc = main(["gmgf", "--fading", '{"type":"twdp","k_r":4,"delta":0.9}',
-                   "--p", "2", "--s=-1.5", "--check"])
+    @pytest.mark.parametrize("fading_doc, p, s, bound", [
+        pytest.param('{"type":"twdp","k_r":4,"delta":0.9}', 2, -1.5, 1e-7, id="twdp"),
+        pytest.param('{"type":"rician","k_r":30}', 0.3, -100, 1e-9, id="rician-narrow"),
+        pytest.param('{"type":"kappa-mu","kappa":0,"mu":0.3}', 0, 0, 1e-9,
+                     id="kappa-mu-singular"),
+        pytest.param('{"type":"rayleigh","omega_x":1e10}', 1, -1e-10, 1e-9, id="rayleigh-wide"),
+        pytest.param('{"type":"rayleigh","omega_x":1e-10}', 2, -1e9, 1e-9,
+                     id="rayleigh-narrow"),
+        pytest.param('{"type":"nakagami","m_f":0.5}', 0, -1e8, 1e-9, id="nakagami-steep"),
+        pytest.param('{"type":"eta-mu","eta":0.4,"mu":1.2}', 40, -20, 1e-9, id="eta-mu-high-p"),
+        pytest.param('{"type":"hoyt","q":0.5}', 1, -2, 1e-9, id="hoyt"),
+        pytest.param('{"type":"kappa-mu","kappa":2,"mu":1.5}', 2.5, -0.5, 1e-9, id="kappa-mu"),
+        pytest.param('{"type":"kappa-mu-shadowed","kappa":2,"mu":1.5,"m_f":3}', 1.5, -1, 1e-9,
+                     id="kappa-mu-shadowed"),
+        pytest.param('{"type":"nakagami","m_f":2.5}', 3, -0.2, 1e-9, id="nakagami"),
+        pytest.param('{"type":"rician","k_r":3}', 0.5, -3, 1e-9, id="rician"),
+        # both the closed form and the integral underflow to 0
+        pytest.param('{"type":"rayleigh"}', 1000, -1000, 0.0, id="both-zero"),
+    ])
+    def test_twdp_check(self, capsys, fading_doc, p, s, bound):
+        rc = main(["gmgf", "--fading", fading_doc, "--p", str(p), f"--s={s}", "--check"])
         assert rc == 0
         lines = capsys.readouterr().out.splitlines()
         rel = float(lines[-1].split()[1])
-        assert rel < 1e-7
+        assert rel < bound if bound else rel == 0.0
 
     def test_collapse_printed_equal(self, capsys):
         assert main(["gmgf", "--fading",

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import typing
+import warnings
 
 import mpmath
 import numpy as np
@@ -288,6 +289,21 @@ class TestPdf:
     def test_domain(self):
         with pytest.raises(ValueError):
             fa.pdf(fa.Rayleigh(), 0.0)
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: type(m).__name__)
+    @pytest.mark.parametrize("omega_x", [1.0, 1.3])
+    def test_far_tail_is_zero(self, model, omega_x):
+        # the Bessel and 1F1 factors are NaN this far out, and TWDP's phase
+        # peak is narrower than any grid: the density is exactly 0 there
+        model = dataclasses.replace(model, omega_x=omega_x)
+        xs = omega_x * np.array([1e12, 1e15, 1e100, 1e300])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            at_one = fa.pdf(model, 1.0)
+            assert [fa.pdf(model, x) for x in xs] == [0.0] * 4
+            got = fa.pdf(model, np.r_[1.0, xs])
+        assert got[0] == at_one > 0
+        assert np.all(got[1:] == 0.0)
 
     @pytest.mark.parametrize("model, xs", [
         (fa.TWDP(400.0, 0.5), [2.524]),

@@ -32,6 +32,8 @@ class TestEmpiricalCdf:
             mc.EmpiricalCdf(np.array([1.0, 1.0]), np.array([0.5, 1.0]), 2)
         with pytest.raises(ValueError):
             mc.EmpiricalCdf(np.array([1.0, 2.0]), np.array([0.9, 0.5]), 2)
+        with pytest.raises(ValueError):
+            mc.EmpiricalCdf(np.array([1.0, np.nan]), np.array([0.5, 1.0]), 2)
 
     def test_thin_keeps_exact_points(self):
         ecdf = mc.empirical_cdf(np.arange(1, 1001, dtype=float))

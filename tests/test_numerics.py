@@ -164,9 +164,10 @@ class TestHyp1f2:
 
 class TestIntegrateFinite:
     def test_linear(self):
-        val, err = nm.integrate_finite(lambda x: x, 0.0, 1.0)
-        assert val == pytest.approx(0.5, abs=1e-13)
-        assert abs(val - 0.5) <= err + 1e-15
+        # neither periodic nor vanishing at the ends: the rule converges
+        # only algebraically and runs out of points
+        with pytest.raises(nm.ConvergenceError):
+            nm.integrate_finite(lambda x: x, 0.0, 1.0)
 
     def test_full_period_cosine(self):
         val, err = nm.integrate_finite(np.cos, 0.0, 2 * math.pi)
@@ -175,7 +176,7 @@ class TestIntegrateFinite:
 
     def test_periodic_bessel_identity(self):
         val, err = nm.integrate_finite(
-            lambda a: np.exp(np.cos(a)), 0.0, 2 * math.pi, periodic=True
+            lambda a: np.exp(np.cos(a)), 0.0, 2 * math.pi
         )
         expected = 2 * math.pi * sc.iv(0, 1.0)
         assert val == pytest.approx(expected, rel=1e-11)
@@ -183,7 +184,6 @@ class TestIntegrateFinite:
 
     def test_error_estimate_bounds_truth(self):
         cases = [
-            (lambda x: x, 0.0, 1.0, 0.5),
             (np.cos, 0.0, 2 * math.pi, 0.0),
             (lambda x: np.exp(-x * x), -3.0, 3.0, math.sqrt(math.pi) * math.erf(3.0)),
         ]
@@ -197,6 +197,17 @@ class TestIntegrateFinite:
             nm.integrate_finite(lambda x: np.sqrt(np.abs(x)), -1.0, 1.0, tol)
         assert exc.value.estimate == pytest.approx(4.0 / 3.0, rel=1e-2)
 
+    def test_non_finite_sum_stops_at_once(self):
+        calls = []
+
+        def f(x):
+            calls.append(x.size)
+            return np.full(x.shape, np.nan)
+
+        with pytest.raises(nm.ConvergenceError, match="not finite"):
+            nm.integrate_finite(f, 0.0, 1.0)
+        assert len(calls) <= 2
+
 
 class TestIntegrateSemiInfinite:
     def test_examples(self):
@@ -206,6 +217,9 @@ class TestIntegrateSemiInfinite:
         assert val == pytest.approx(1.0, rel=1e-10)
         val, _ = nm.integrate_semi_infinite(lambda x: x**2.5 * np.exp(-2 * x))
         assert val == pytest.approx(math.gamma(3.5) / 2**3.5, rel=1e-10)
+        # integrable singularity at the origin
+        val, _ = nm.integrate_semi_infinite(lambda x: x**-0.7 * np.exp(-x))
+        assert val == pytest.approx(math.gamma(0.3), rel=1e-10)
 
 
 class TestSumSeries:

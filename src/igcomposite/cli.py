@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -331,7 +332,10 @@ def _cmd_gmgf(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: built on first use, then reused by
+    every `main` call (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="igcomposite",
         description="Inverse-gamma composite fading models: curves, fits, and Monte Carlo validation.",
@@ -387,8 +391,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, ValueError) as exc:

@@ -161,7 +161,8 @@ def f_cdf(params: FDistParams, t):
 
 
 def mixture_of_f(model: CompositeModel, tol: Tolerance = DEFAULT_TOL) -> FMixture:
-    """Map the baseline's gamma mixture onto F components (means scale by w_bar)."""
+    """Map the baseline's gamma mixture onto F components (means scale by
+    w_bar): a view, as terms, of the arrays the mixture route sums."""
     gm = fading.gamma_mixture(model.baseline, tol)
     terms = tuple(
         FTerm(t.weight, FDistParams(model.m, t.shape, t.omega * model.w_bar))
@@ -200,9 +201,7 @@ def composite_pdf(
     arr = _as_positive(u, "composite_pdf")
     strat = _resolve(model, strategy)
     if strat is Strategy.MIXTURE:
-        mix = mixture_of_f(model, tol)
-        out = sum(t.weight * np.asarray(f_pdf(t.params, arr)) for t in mix.terms)
-        return _maybe_scalar(np.asarray(out), u)
+        return _maybe_scalar(_f_mixture(model, arr, tol, pdf=True), u)
     m, wb = model.m, model.w_bar
     m_eval = float(round(m)) if strat is Strategy.GMGF_INTEGER else m
     base = m_eval * math.log(wb * (m_eval - 1.0)) - sc.gammaln(m_eval)
@@ -227,9 +226,7 @@ def composite_cdf(
     arr = _as_positive(u, "composite_cdf")
     strat = _resolve(model, strategy)
     if strat is Strategy.MIXTURE:
-        mix = mixture_of_f(model, tol)
-        out = _f_mixture_cdf(mix.terms, arr)
-        return _maybe_scalar(np.clip(out, 0.0, 1.0), u)
+        return _maybe_scalar(np.clip(_f_mixture(model, arr, tol, pdf=False), 0.0, 1.0), u)
     flat = np.atleast_1d(arr)
     vals = np.zeros(flat.shape)
     live = flat >= 1e-300  # the CDF is 0 to float precision below
@@ -239,28 +236,69 @@ def composite_cdf(
     return _maybe_scalar(np.clip(vals.reshape(arr.shape), 0.0, 1.0), u)
 
 
-def _f_mixture_cdf(terms: tuple[FTerm, ...], t: np.ndarray) -> np.ndarray:
-    """sum_i weight_i * F_i(t) for the F components `mixture_of_f` builds.
+# The F sum's two ways through the components, by point count (they cross
+# near 1024 points): up to _F_POINTS points, (components x points) blocks
+# of at most _F_BLOCK elements, one exponential each; beyond, one row at a
+# time, by a multiplicative step that is exact from log space every
+# _F_RESTART rows. Memory grows with neither the components nor, past one
+# row, the points.
+_F_BLOCK = 1 << 15
+_F_POINTS = 1 << 10
+_F_RESTART = 8
 
-    They share m and omega/k, hence x = t / (t + (m-1) omega/k), and their
-    shapes step by 1. One incomplete beta gives the top component; the
-    others follow downward by DLMF 8.17.20,
-    I_x(a, m) = I_x(a+1, m) + x^a (1-x)^m / (a B(a, m)),
-    which adds only positive terms.
+
+def _f_mixture(model: CompositeModel, t: np.ndarray, tol: Tolerance, pdf: bool) -> np.ndarray:
+    """The mixture route's PDF or CDF at t, from the baseline's gamma
+    mixture as arrays (weights w_i, shapes a_i = a_0 + i).
+
+    Its F components share m and omega_i / a_i, hence the argument
+    x = t / (t + c) with c = (m-1) omega_i / a_i. With the rows
+    r_i = x^a_i (1-x)^m / B(a_i, m), component i has PDF r_i / t, and
+    DLMF 8.17.20, I_x(a, m) = I_x(a+1, m) + x^a (1-x)^m / (a B(a, m)),
+    gives every CDF from the top one by adding positive terms only, so with
+    the cumulative weights W_i = w_0 + ... + w_i the mixture CDF is
+    W_n I_x(a_n, m) + sum_{i<n} W_i r_i / a_i: one incomplete beta per
+    point, and no Python object per component.
     """
-    top = terms[-1].params
-    m = top.m
-    c = (m - 1.0) * top.omega / top.k
+    points = max(t.size, 1)
+    mix = model.baseline.mixture_arrays(tol, points)
+    m = model.m
+    a = mix.shape + np.arange(mix.weights.size)
+    c = (m - 1.0) * mix.scale * model.w_bar
+    x = (t / (t + c)).ravel()
     ln_den = np.log(t + c)
-    ln_x = np.log(t) - ln_den
-    m_ln_1mx = m * (math.log(c) - ln_den)
-    cdf = np.asarray(f_cdf(top, t))
-    total = terms[-1].weight * cdf
-    for term in reversed(terms[:-1]):
-        a = term.params.k
-        cdf = cdf + np.exp(a * ln_x + m_ln_1mx - math.log(a) - sc.betaln(a, m))
-        total = total + term.weight * cdf
-    return total
+    ln_x = (np.log(t) - ln_den).ravel()
+    m_ln_1mx = (m * (math.log(c) - ln_den)).ravel()
+    cum = np.cumsum(mix.weights)
+    coef = mix.weights if pdf else cum[:-1] / a[:-1]
+    a = a[:coef.size]
+    ln_beta = sc.betaln(a, m)
+    total = np.zeros(t.size)
+    if points <= _F_POINTS:
+        step = _F_BLOCK // points
+        for lo in range(0, coef.size, step):
+            block = np.multiply.outer(a[lo:lo + step], ln_x)
+            block += m_ln_1mx
+            block -= ln_beta[lo:lo + step, None]
+            total += coef[lo:lo + step] @ np.exp(block, out=block)
+    else:
+        # r_(i+1) = r_i x (a_i + m) / a_i. A row that underflowed is carried
+        # on as 0 until the next restart; what it would have grown to in
+        # _F_RESTART - 1 steps lies far below 1e-280
+        row, scaled = np.empty(t.size), np.empty(t.size)
+        for i in range(coef.size):
+            if i % _F_RESTART:
+                row *= x
+                row *= (a[i - 1] + m) / a[i - 1]
+            else:
+                np.multiply(ln_x, a[i], out=row)
+                row += m_ln_1mx
+                row -= ln_beta[i]
+                np.exp(row, out=row)
+            total += np.multiply(row, coef[i], out=scaled)
+    if pdf:
+        return total.reshape(t.shape) / t
+    return (cum[-1] * sc.betainc(mix.shape + coef.size, m, x) + total).reshape(t.shape)
 
 
 def _cdf_series(model: CompositeModel, u: np.ndarray, tol: Tolerance) -> np.ndarray:

@@ -7,8 +7,10 @@ periodic integral over the phase angle), the small-argument power law of
 the PDF (`tail`), a physically constructed sampler (`draw`) and, for the
 six baselines that have one, a gamma-mixture representation (`mixture`).
 Those six state their mixture law once, as the first component's shape,
-the common scale and the log weights; `mixture` and `tail` both derive
-from it. The module functions of the same names dispatch to these methods.
+the common scale and the law of the component index, whose weights come
+as one array and whose exact upper tail sets where the mixture is cut;
+`mixture_arrays`, `mixture` and `tail` derive from it. The module
+functions of the same names dispatch to these methods.
 All power variables carry mean omega_x; evaluations are pure functions.
 """
 
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import NamedTuple, Union
 
 import numpy as np
 import scipy.special as sc
@@ -53,8 +55,18 @@ __all__ = [
     "draw",
 ]
 
-# components the gamma-mixture loop may build before it gives up
-_MIXTURE_TERMS = 5000
+# The most components x points a mixture route may take on, well under a
+# second of F sum: 5000 components at a 24.6k-point validation still fit.
+# Each component counts as at least _MIN_POINTS points, for its weight,
+# its row of the F sum and its term in a `GammaMixture`, so that at a few
+# points the budget stops at 131072 components (1 MB of weights, some 30 MB
+# as terms). Past it the route raises before it builds any weight array.
+_MIXTURE_BUDGET = 1 << 27
+_MIN_POINTS = 1 << 10
+
+# TWDP weights share one phase grid per this many components, which bounds
+# the (nodes x components) integrand array
+_PHASE_COLUMNS = 1024
 
 # A far-tail density whose log is bounded below this rounds to 0; there
 # its special-function factor, which can be NaN so far out, is not evaluated
@@ -70,8 +82,12 @@ class GammaTerm:
 
 @dataclass(frozen=True)
 class GammaMixture:
-    """Gamma components whose weights are probabilities: they sum to
-    1 - truncation_error_bound."""
+    """Gamma components whose weights are probabilities. The mixture is cut
+    from above only: it keeps components 0..n for the smallest n whose
+    exact upper-tail mass P(N > n) is below tol.rel_tol / 100, so the
+    weights sum to 1 - truncation_error_bound, that mass. There is no
+    component cap; a mixture that passes the module's components x points
+    budget raises ConvergenceError before any weight is computed."""
 
     terms: tuple[GammaTerm, ...]
     truncation_error_bound: float
@@ -119,25 +135,53 @@ class _Baseline:
         return self._law.tail()
 
 
+class MixtureArrays(NamedTuple):
+    """A gamma mixture as arrays: component i has weight weights[i], shape
+    shape + i and mean (shape + i) * scale."""
+
+    weights: np.ndarray
+    shape: float
+    scale: float
+    truncation_error_bound: float
+
+
 class _MixtureBaseline(_Baseline):
     """A baseline whose power PDF is a gamma mixture. It supplies
-    `_mixture_law(tol)` -> (ln_weight, shape, scale), or inherits it from
-    its `_law`: component i has weight exp(ln_weight(i)), shape `shape` + i
-    and mean (shape + i) * scale. `mixture` and `tail` both derive from it."""
+    `_mixture_law()` -> (index law, shape, scale), or inherits it from its
+    `_law`: component i has weight P(N = i) under the index law, shape
+    `shape` + i and mean (shape + i) * scale. `mixture_arrays`, `mixture`
+    and `tail` all derive from it."""
 
-    def _mixture_law(self, tol: Tolerance):
-        return self._law._mixture_law(tol)
+    def _mixture_law(self):
+        return self._law._mixture_law()
+
+    def mixture_arrays(self, tol: Tolerance = DEFAULT_TOL, points: int = 1) -> MixtureArrays:
+        """The mixture for an evaluation at `points` points; see
+        `GammaMixture` for where it is cut."""
+        law, shape, scale = self._mixture_law()
+        n = _last_index(self, law, tol.rel_tol * 1e-2, points)
+        weights = np.exp(law.ln_weights(n, tol))
+        tail = law.tail(n, tol)
+        # they hold exactly 1 - tail: scaling them to it removes the drift
+        # their large log-gamma terms share (3e-13 relative at rate 1000)
+        weights *= (1.0 - tail) / weights.sum()
+        return MixtureArrays(weights, shape, scale, tail)
 
     def mixture(self, tol: Tolerance = DEFAULT_TOL) -> GammaMixture:
-        return _gamma_mixture(self, *self._mixture_law(tol), tol=tol)
+        mix = self.mixture_arrays(tol)
+        return GammaMixture(
+            tuple(GammaTerm(w, mix.shape + i, (mix.shape + i) * mix.scale)
+                  for i, w in enumerate(mix.weights.tolist())),
+            mix.truncation_error_bound,
+        )
 
     def tail(self) -> TailParams:
         # component i vanishes like x^(shape+i-1) at the origin, so the
         # first, w_0 x^(shape-1) / (Gamma(shape) scale^shape), is the law
-        ln_weight, shape, scale = self._mixture_law(DEFAULT_TOL)
+        law, shape, scale = self._mixture_law()
         return TailParams(
-            math.exp(ln_weight(0) - shape * math.log(scale / self.omega_x)
-                     - math.lgamma(shape)),
+            math.exp(law.ln_weights(0, DEFAULT_TOL)[0]
+                     - shape * math.log(scale / self.omega_x) - math.lgamma(shape)),
             shape - 1.0,
         )
 
@@ -184,33 +228,114 @@ def _ln_hyp2f1(a, b, c, z) -> np.ndarray:
     return np.where(np.isfinite(out), out, np.nan)
 
 
-def _gamma_mixture(model, ln_weight: Callable[[int], float], shape: float,
-                   scale: float, tol: Tolerance) -> GammaMixture:
-    """The one gamma-mixture loop, over a `_MixtureBaseline._mixture_law`.
-    Each model's ln_weight carries its normalization, so the weights are
-    probabilities, no intermediate overflows, and 1 - (their running sum)
-    is the mass still left out; the loop stops once that is below
-    tol.rel_tol / 100."""
-    cap = tol.rel_tol * 1e-2
-    terms = []
-    mass = 0.0
-    for i in range(_MIXTURE_TERMS):
-        w = math.exp(ln_weight(i))
-        terms.append(GammaTerm(w, shape + i, (shape + i) * scale))
-        mass += w
-        if abs(1.0 - mass) < cap:
-            return GammaMixture(tuple(terms), abs(1.0 - mass))
-    raise ConvergenceError(
-        f"{model}: gamma mixture weights did not converge in {_MIXTURE_TERMS} terms",
-        estimate=mass,
-        error_bound=abs(1.0 - mass),
-    )
+def _last_index(model, law, cut: float, points: int) -> int:
+    """The smallest n with P(N > n) < cut under the index law, walked to
+    from the law's inverse-CDF estimate. Only upper-tail masses are
+    evaluated, so a mixture whose components 0..n at `points` points pass
+    the budget raises here, before any weight array exists."""
+    most = _MIXTURE_BUDGET // max(points, _MIN_POINTS)  # components allowed
+    guess = law.first_guess(cut)
+    n = int(min(guess, most)) if guess > 0 else 0
+    while n < most and law.upper_tail(n) >= cut:
+        n += 1
+    while n > 0 and law.upper_tail(n - 1) < cut:
+        n -= 1
+    if n >= most:
+        tail = law.upper_tail(n)
+        raise ConvergenceError(
+            f"{model}: gamma mixture needs more than {most} components at {points} "
+            f"point(s), past the budget of {_MIXTURE_BUDGET} components x points "
+            f"(a component counts as at least {_MIN_POINTS} points)",
+            estimate=1.0 - tail,
+            error_bound=tail,
+        )
+    return n
 
 
-def _poisson_ln_weight(rate: float) -> Callable[[int], float]:
-    """i -> ln of the Poisson(rate) probability of i, for rate >= 0 (at
-    rate 0 all mass is at i = 0)."""
-    return lambda i: sc.xlogy(i, rate) - rate - math.lgamma(i + 1.0)
+@dataclass(frozen=True)
+class _Poisson:
+    """Poisson(rate) component index, rate >= 0 (at rate 0 all mass is at
+    0). `upper_tail`, the exact P(N > n), sets the component count and is
+    the truncation bound."""
+
+    rate: float
+
+    def first_guess(self, cut: float) -> float:
+        return sc.pdtrik(1.0 - cut, self.rate)
+
+    def upper_tail(self, n: int) -> float:
+        return float(sc.gammainc(n + 1.0, self.rate))
+
+    def tail(self, n: int, tol: Tolerance) -> float:
+        return self.upper_tail(n)
+
+    def ln_weights(self, n: int, tol: Tolerance) -> np.ndarray:
+        i = np.arange(n + 1.0)
+        return sc.xlogy(i, self.rate) - self.rate - sc.gammaln(i + 1.0)
+
+
+@dataclass(frozen=True)
+class _NegativeBinomial:
+    """Negative-binomial component index of the given size and mean >= 0:
+    P(N = i) = Gamma(size + i) / (Gamma(size) i!) p^size (1 - p)^i with
+    p = size / (size + mean). P(N > n) = I_(1-p)(n + 1, size) exactly."""
+
+    size: float
+    mean: float
+
+    def first_guess(self, cut: float) -> float:
+        return sc.nbdtrik(1.0 - cut, self.size, self.size / (self.size + self.mean))
+
+    def upper_tail(self, n: int) -> float:
+        return float(sc.betainc(n + 1.0, self.size, self.mean / (self.size + self.mean)))
+
+    def tail(self, n: int, tol: Tolerance) -> float:
+        return self.upper_tail(n)
+
+    def ln_weights(self, n: int, tol: Tolerance) -> np.ndarray:
+        size, total = self.size, self.size + self.mean
+        i = np.arange(n + 1.0)
+        return sc.gammaln(size + i) - sc.gammaln(i + 1.0) + sc.xlogy(i, self.mean / total) \
+            + size * (math.log(size) - math.log(total)) - math.lgamma(size)
+
+
+@dataclass(frozen=True)
+class _PhasePoisson:
+    """TWDP's component index: Poisson at rate K (1 + D cos a), averaged
+    over a uniform phase a. Its upper tail is at most the Poisson tail at
+    the peak rate K (1 + D), which sets the component count; `tail` is the
+    exact phase average."""
+
+    K: float
+    D: float
+
+    @property
+    def _peak(self) -> _Poisson:
+        return _Poisson(self.K * (1.0 + self.D))
+
+    def first_guess(self, cut: float) -> float:
+        return self._peak.first_guess(cut)
+
+    def upper_tail(self, n: int) -> float:
+        return self._peak.upper_tail(n)
+
+    def tail(self, n: int, tol: Tolerance) -> float:
+        # P(n + 1, rate) grows with the rate, so each node lies in [0, 1]
+        # once divided by its value at the peak rate
+        peak = self.upper_tail(n)
+        if peak == 0.0:
+            return 0.0
+
+        def integrand(alpha: np.ndarray) -> np.ndarray:
+            return sc.gammainc(n + 1.0, self.K * (1.0 + self.D * np.cos(alpha))) / peak
+
+        val, _ = integrate_finite(integrand, 0.0, 2.0 * math.pi, _phase_tol(tol))
+        return peak * val / (2.0 * math.pi)
+
+    def ln_weights(self, n: int, tol: Tolerance) -> np.ndarray:
+        j = np.arange(n + 1.0)
+        return np.concatenate([_twdp_ln_weights(j[lo:lo + _PHASE_COLUMNS], self.K, self.D, tol)
+                               for lo in range(0, j.size, _PHASE_COLUMNS)])
 
 
 # ---------------------------------------------------------------------------
@@ -305,10 +430,9 @@ class KappaMu(_MixtureBaseline):
             + _ln_hyp1f1(mu + p, mu, mu * mu * kap * (1.0 + kap) / den)
         )
 
-    def _mixture_law(self, tol):
-        # Poisson(mu kappa) weights
+    def _mixture_law(self):
         kap, mu = self.kappa, self.mu
-        return _poisson_ln_weight(mu * kap), mu, self.omega_x / (mu * (1.0 + kap))
+        return _Poisson(mu * kap), mu, self.omega_x / (mu * (1.0 + kap))
 
     def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
         kap, mu = self.kappa, self.mu
@@ -493,16 +617,9 @@ class KappaMuShadowed(_MixtureBaseline):
             )
         )
 
-    def _mixture_law(self, tol):
-        # negative-binomial(m_f, mu kappa / (mu kappa + m_f)) weights
-        kap, mu, mf = self.kappa, self.mu, self.m_f
-        ratio = mu * kap / (mu * kap + mf)
-        base = mf * (math.log(mf) - math.log(mu * kap + mf)) - math.lgamma(mf)
-
-        def ln_weight(i: int) -> float:
-            return math.lgamma(mf + i) - math.lgamma(i + 1.0) + sc.xlogy(i, ratio) + base
-
-        return ln_weight, mu, self.omega_x / (mu * (1.0 + kap))
+    def _mixture_law(self):
+        kap, mu = self.kappa, self.mu
+        return _NegativeBinomial(self.m_f, mu * kap), mu, self.omega_x / (mu * (1.0 + kap))
 
     def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
         kap, mu, mf = self.kappa, self.mu, self.m_f
@@ -583,9 +700,8 @@ class TWDP(_MixtureBaseline):
             + np.log(val)
         )
 
-    def _mixture_law(self, tol):
-        K, D = self.k_r, self.delta
-        return lambda j: twdp_ln_weight(j, K, D, tol), 1.0, self.omega_x / (1.0 + K)
+    def _mixture_law(self):
+        return _PhasePoisson(self.k_r, self.delta), 1.0, self.omega_x / (1.0 + self.k_r)
 
     def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
         v1, v2, sigma2 = twdp_specular_amplitudes(self)
@@ -609,26 +725,31 @@ def _phase_tol(tol: Tolerance) -> Tolerance:
                      max_terms=tol.max_terms, max_subdivisions=tol.max_subdivisions)
 
 
-def twdp_ln_weight(j: int, K: float, D: float, tol: Tolerance = DEFAULT_TOL) -> float:
-    """ln of the j-th TWDP mixture weight, for K > 0 (and j = 0 at K = 0,
-    where it is 0).
+def _twdp_ln_weights(j: np.ndarray, K: float, D: float, tol: Tolerance) -> np.ndarray:
+    """ln of the TWDP mixture weights at the indices j, for K > 0 (and
+    j = 0 at K = 0, where it is 0), all on one phase grid.
 
     The defining double Bessel sum alternates with exponentially growing
-    terms, so the weight is taken in its positive phase-average form (from
+    terms, so each weight is taken in its positive phase-average form (from
     expanding the Bessel kernel of the integral-form PDF term by term): the
     Poisson probability of j at rate lambda(a) = K (1 + D cos a), averaged
-    over the phase a. The integrand is divided by its largest value, which
+    over the phase a. Column j is divided by its largest value, which
     lambda = clip(j, K(1-D), K(1+D)) attains, so it lies in [0, 1].
     """
-    peak = min(max(j, K * (1.0 - D)), K * (1.0 + D))
+    peak = np.clip(j, K * (1.0 - D), K * (1.0 + D))
     ln_peak = sc.xlogy(j, peak) - peak
 
     def integrand(alpha: np.ndarray) -> np.ndarray:
-        lam = K * (1.0 + D * np.cos(alpha))
+        lam = K * (1.0 + D * np.cos(alpha))[:, None]
         return np.exp(sc.xlogy(j, lam) - lam - ln_peak)
 
     val, _ = integrate_finite(integrand, 0.0, 2.0 * math.pi, _phase_tol(tol))
-    return ln_peak - math.lgamma(j + 1.0) + math.log(val / (2.0 * math.pi))
+    return ln_peak - sc.gammaln(j + 1.0) + np.log(val / (2.0 * math.pi))
+
+
+def twdp_ln_weight(j: int, K: float, D: float, tol: Tolerance = DEFAULT_TOL) -> float:
+    """ln of the j-th TWDP mixture weight; see `_twdp_ln_weights`."""
+    return float(_twdp_ln_weights(np.array([float(j)]), K, D, tol)[0])
 
 
 def twdp_specular_amplitudes(model: TWDP) -> tuple[float, float, float]:
@@ -676,7 +797,13 @@ def gamma_mixture(model: FadingModel, tol: Tolerance = DEFAULT_TOL) -> GammaMixt
     at one common scale: a single term for Rayleigh/Nakagami, Poisson
     weights for Rician and kappa-mu, negative-binomial weights for kappa-mu
     shadowed, phase-averaged Poisson weights for TWDP. Hoyt and eta-mu have
-    no published mixture."""
+    no published mixture.
+
+    The view of `mixture_arrays` as terms. No component cap applies: the
+    components run up to where the exact upper-tail mass falls below
+    tol.rel_tol / 100, and truncation_error_bound is that mass. A mixture
+    past the module's components x points budget raises ConvergenceError
+    naming the model and the budget."""
     if not hasattr(model, "mixture"):
         raise ValueError(
             f"gamma_mixture: no mixture representation for {type(model).__name__}"

@@ -126,6 +126,54 @@ def pdf_kappa_mu_shadowed(x, kap, mu, mf, om=1.0):
     return np.where(np.isfinite(out), out, 0.0)
 
 
+def ln_pdf_kappa_mu(x: float, kap: float, mu: float) -> float:
+    """ln of the unit-mean kappa-mu power PDF (Rician at mu = 1), with the
+    Bessel factor scaled: `pdf_kappa_mu` overflows once mu kappa > 709."""
+    z = 2 * mu * math.sqrt(kap * (1 + kap) * x)
+    return (math.log(mu) + (mu + 1) / 2 * math.log1p(kap) - (mu - 1) / 2 * math.log(kap)
+            - mu * kap + (mu - 1) / 2 * math.log(x) - mu * (1 + kap) * x
+            + z + math.log(sc.ive(mu - 1, z)))
+
+
+def ln_pdf_kappa_mu_shadowed(x: float, kap: float, mu: float, mf: float) -> float:
+    """ln of the unit-mean kappa-mu shadowed power PDF, its 1F1 taken by
+    Kummer's transformation 1F1(mf; mu; w) = e^w 1F1(mu - mf; mu; -w):
+    `pdf_kappa_mu_shadowed` overflows once w passes about 700."""
+    w = mu * mu * kap * (1 + kap) / (mu * kap + mf) * x
+    return (mu * math.log(mu) + mf * math.log(mf) + mu * math.log1p(kap) - math.lgamma(mu)
+            - mf * math.log(mu * kap + mf) + (mu - 1) * math.log(x) - mu * (1 + kap) * x
+            + w + math.log(sc.hyp1f1(mu - mf, mu, -w)))
+
+
+def _ln_gammaincc(a: float, y: float) -> float:
+    """ln Q(a, y), by mpmath where Q leaves double range."""
+    q = sc.gammaincc(a, y)
+    if q > 1e-280:
+        return math.log(q)
+    import mpmath
+
+    return float(mpmath.log(mpmath.gammainc(a, y, mpmath.inf, regularized=True)))
+
+
+def ln_composite_cdf(ln_pdf, m: float, u: float) -> float:
+    """ln F_W(u) = ln E[Q(m, (m-1) X / u)] for a unit-mean baseline power X
+    with log-density `ln_pdf` under unit-mean inverse-gamma(m) shadowing,
+    by QUADPACK in s = ln x. The integrand is divided by its largest value
+    on a grid, so values far below double range keep their precision."""
+    def ln_h(s):
+        x = math.exp(s)
+        return s + ln_pdf(x) + _ln_gammaincc(m, (m - 1) * x / u)
+
+    grid = np.linspace(math.log(u) - 30.0, 3.0, 400)
+    ln_grid = [ln_h(s) for s in grid]
+    peak = int(np.argmax(ln_grid))
+    top = ln_grid[peak]
+    val, _ = quad(lambda s: math.exp(ln_h(s) - top), grid[0], grid[-1],
+                  points=sorted({math.log(u), 0.0, grid[peak]}),
+                  limit=500, epsabs=0.0, epsrel=1e-11)
+    return top + math.log(val)
+
+
 def pdf_twdp(x, K, D, om=1.0):
     def inner(alpha):
         z = 2 * math.sqrt(K * (1 + K) * x * (1 + D * math.cos(alpha)) / om)

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from igcomposite import cli
 from igcomposite import composite as co
 from igcomposite import shadowing as sh
 from igcomposite.cli import _fmt, main, parse_model_config
@@ -408,6 +409,44 @@ class TestGmgf:
     def test_bad_domain_exits_2(self):
         assert main(["gmgf", "--fading", '{"type":"rayleigh"}',
                      "--p", "1", "--s", "1"]) == 2
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
+    # bench/run.py's start-up probe builds the parser by this name
+    assert callable(cli._build_parser)
+    data = tmp_path / "d.csv"
+    data.write_text("value\n" + "".join(
+        f"{v:.10g}\n" for v in np.log(sh.sample_inverse_gamma(5.0, 1.0, 300, seed=4))))
+    calls = [
+        ["eval", "--config", TWDP_CFG, "--quantity", "pdf", "--grid", "0.5:0.5:2"],
+        ["outage", "--config", RAYLEIGH_CFG, "--grid-db=-20:10:0", "--asymptotic"],
+        ["outage", "--config", RAYLEIGH_CFG],  # usage error: no --grid-db
+        ["fit", "--data", str(data), "--scale", "ln", "--families", "gamma",
+         "--multistart", "1"],
+        ["eval", "--config", RAYLEIGH_CFG, "--quantity", "cdf", "--grid", "1:1:2",
+         "--strategy", "bogus"],  # usage error: unknown strategy
+        ["simulate", "--config", RAYLEIGH_CFG, "--count", "500", "--seed", "7", "--validate"],
+        ["gmgf", "--fading", '{"type":"rician","k_r":2}', "--p", "1.5", "--s=-1"],
+    ]
+
+    def run_all():
+        results = []
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        return results
+
+    shared = run_all()
+    assert cli._build_parser() is cli._build_parser()
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    assert cli._build_parser() is not cli._build_parser()
+    assert run_all() == shared
+    assert [code for code, _, _ in shared] == [0, 0, 2, 0, 2, 0, 0]
+    assert all(out for code, out, _ in shared if code == 0)
 
 
 def test_no_command_loads_the_optimizer(tmp_path):

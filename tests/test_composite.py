@@ -11,6 +11,8 @@ from igcomposite import composite as co
 from igcomposite import fading as fa
 from igcomposite import numerics as nm
 
+from oracles import ln_composite_cdf, ln_pdf_kappa_mu, ln_pdf_kappa_mu_shadowed
+
 S = co.Strategy
 
 
@@ -416,6 +418,36 @@ class TestStrongLineOfSight:
         model = co.CompositeModel(m, 1.0, fa.Rician(K))
         np.testing.assert_allclose(co.composite_cdf(model, self.U), ref, rtol=0.0, atol=1e-9)
 
+    @pytest.mark.parametrize("baseline, ln_pdf", [
+        (fa.Rician(1e4), lambda x: ln_pdf_kappa_mu(x, 1e4, 1.0)),
+        (fa.KappaMu(3000.0, 2.0), lambda x: ln_pdf_kappa_mu(x, 3000.0, 2.0)),
+        (fa.KappaMuShadowed(800.0, 1.5, 3.0), lambda x: ln_pdf_kappa_mu_shadowed(x, 800.0, 1.5, 3.0)),
+    ], ids=["rician-1e4", "kappa-mu-3000-2", "kappa-mu-shadowed-800-1.5-3"])
+    def test_outage_to_minus_80_db(self, baseline, ln_pdf):
+        # 10.7k-13.6k components, past the former 5000-term cap. From 0 dB
+        # down, each value matches the oracle to 1e-6 until the outage
+        # leaves double's normal range; being monotone, it stays below it
+        tiny = np.finfo(float).tiny
+        db = np.arange(-80.0, 0.1, 4.0)
+        for m in (1.5, 2.5, 12.0, 40.5):
+            got = co.outage(co.CompositeModel(m, 1.0, baseline), 10 ** (db / 10), 1.0)
+            for k in reversed(range(db.size)):
+                ref = math.exp(ln_composite_cdf(ln_pdf, m, 10 ** (db[k] / 10)))
+                if ref < tiny:
+                    assert np.all(got[:k + 1] < tiny)
+                    break
+                assert got[k] == pytest.approx(ref, rel=1e-6, abs=0.0)
+
+    def test_lower_tail_components_are_kept(self):
+        # at u = 1e-8 the CDF lives in the lowest-shape components, whose
+        # Poisson weights are below 1e-14: a mixture cut from below as well
+        # as above once gave 9.7e-223 here
+        model = co.CompositeModel(2.5, 1.0, fa.Rician(100.0))
+        ref = math.exp(ln_composite_cdf(lambda x: ln_pdf_kappa_mu(x, 100.0, 1.0), 2.5, 1e-8))
+        got = co.composite_cdf(model, 1e-8)
+        assert got == pytest.approx(ref, rel=1e-6, abs=0.0)
+        assert got == pytest.approx(6.26e-50, rel=1e-3, abs=0.0)
+
     def test_twdp_without_second_ray_is_rician(self):
         twdp = co.CompositeModel(2.5, 1.0, fa.TWDP(400.0, 0.0))
         rician = co.CompositeModel(2.5, 1.0, fa.Rician(400.0))
@@ -436,6 +468,31 @@ class TestMixtureCdfKernel:
                 got = co.composite_cdf(model, u, S.MIXTURE)
                 np.testing.assert_allclose(got, mixture_cdf_by_terms(model, u),
                                            rtol=0.0, atol=1e-11)
+
+    @pytest.mark.parametrize("baseline", MIXTURE_BASELINES + [fa.Rician(1500.0)],
+                             ids=[type(b).__name__ for b in MIXTURE_BASELINES] + ["Rician-1500"])
+    def test_row_steps_match_blocks(self, baseline):
+        # past _F_POINTS points the sum steps row by row; up to it, it takes
+        # the blocks checked above against the per-term loop. At m = 1000
+        # and x = 0.6 the rows of Rician(1500) underflow at a = 1 and peak
+        # near a = 1500, so a step that never restarted from log space
+        # would lose the CDF
+        u = np.logspace(-8, 2.5, 2 * co._F_POINTS + 48)
+        for m in (1.5, 40.5, 1000.0):
+            model = co.CompositeModel(m, 1.3, baseline)
+            for quantity in (co.composite_cdf, co.composite_pdf):
+                whole = quantity(model, u, S.MIXTURE)
+                parts = np.concatenate([quantity(model, part, S.MIXTURE)
+                                        for part in np.array_split(u, 3)])
+                np.testing.assert_allclose(whole, parts, rtol=1e-12, atol=1e-280)
+
+    def test_empty_and_2d_input(self):
+        model = co.CompositeModel(2.5, 1.3, fa.Rician(3.0))
+        for quantity in (co.composite_cdf, co.composite_pdf):
+            assert quantity(model, np.array([]), S.MIXTURE).shape == (0,)
+            u = np.array([[0.2, 0.5, 1.0], [2.0, 4.0, 8.0]])
+            np.testing.assert_array_equal(quantity(model, u, S.MIXTURE),
+                                          quantity(model, u.ravel(), S.MIXTURE).reshape(u.shape))
 
     def test_scalar_input(self):
         model = co.CompositeModel(2.5, 1.3, fa.TWDP(4.0, 0.9))

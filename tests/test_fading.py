@@ -409,11 +409,36 @@ class TestGammaMixture:
         with pytest.raises(ValueError):
             fa.gamma_mixture(fa.EtaMu(0.5, 1.0))
 
-    def test_budget_error_names_the_baseline(self):
+    def test_budget_error_names_the_baseline(self, monkeypatch):
+        # the component count comes from upper-tail masses alone, so a
+        # mixture past the components x points budget raises before any
+        # weight array is built
+        def no_weights(*args):
+            raise AssertionError("a weight array was built")
+
+        budget = fa._MIXTURE_BUDGET
+        # the largest mixture the former 5000-term cap allowed fits at a
+        # 24.6k-point validation
+        assert 5000 * 24_600 <= budget
+        with monkeypatch.context() as patch:
+            patch.setattr(fa._Poisson, "ln_weights", no_weights)
+            patch.setattr(fa._NegativeBinomial, "ln_weights", no_weights)
+            # Rician(1e6) needs about 1e6 components even at one point
+            with pytest.raises(nm.ConvergenceError,
+                               match=rf"^Rician\(k_r=1000000.0.*budget of {budget} "):
+                fa.gamma_mixture(fa.Rician(1e6))
+            # kappa-mu shadowed(800, 1.5, 3) needs 13.6k components: fine
+            # for an outage sweep, past the budget at 10000 points
+            model = co.CompositeModel(2.5, 1.0, fa.KappaMuShadowed(800.0, 1.5, 3.0))
+            with pytest.raises(nm.ConvergenceError,
+                               match=rf"^KappaMuShadowed\(kappa=800.0.*10000 point.*{budget} "):
+                co.composite_cdf(model, np.linspace(0.01, 2.0, 10000))
         # the negative-binomial weights of a strong line of sight with
-        # m_f = 2 decay by only 800/802 per term
-        with pytest.raises(nm.ConvergenceError, match=r"KappaMuShadowed\(kappa=800.*5000 terms"):
-            fa.gamma_mixture(fa.KappaMuShadowed(800.0, 1.0, 2.0))
+        # m_f = 2 decay by only 800/802 per term: the former 5000-term cap
+        # refused this mixture
+        mix = fa.gamma_mixture(fa.KappaMuShadowed(800.0, 1.0, 2.0))
+        assert len(mix.terms) > 5000
+        assert mix.truncation_error_bound < 1e-12
 
     @pytest.mark.parametrize("model", [
         fa.KappaMu(0.0, 2.5), fa.KappaMuShadowed(0.0, 1.5, 2.0), fa.TWDP(0.0, 0.4),
@@ -437,6 +462,61 @@ class TestGammaMixture:
         assert np.all((weights >= 0) & (weights <= 1))
         assert abs(1.0 - weights.sum()) == pytest.approx(mix.truncation_error_bound, abs=1e-13)
         assert mix.truncation_error_bound < 1e-12
+
+
+class TestExactTailMass:
+    """The mixture is cut where the exact upper-tail mass of its component
+    index falls below rel_tol / 100, and that mass is the bound."""
+
+    @pytest.mark.parametrize("model, index_tail", [
+        (fa.Rician(3.0), lambda n: sc.gammainc(n + 1, 3.0)),
+        (fa.Rician(1000.0), lambda n: sc.gammainc(n + 1, 1000.0)),
+        (fa.KappaMu(2.0, 1.5), lambda n: sc.gammainc(n + 1, 3.0)),
+        (fa.KappaMu(3000.0, 2.0), lambda n: sc.gammainc(n + 1, 6000.0)),
+        (fa.KappaMuShadowed(2.0, 1.5, 3.0), lambda n: sc.betainc(n + 1, 3.0, 3.0 / 6.0)),
+        (fa.KappaMuShadowed(800.0, 1.5, 3.0), lambda n: sc.betainc(n + 1, 3.0, 1200.0 / 1203.0)),
+    ], ids=["rician-3", "rician-1000", "kappa-mu-2-1.5", "kappa-mu-3000-2",
+            "kappa-mu-shadowed-2-1.5-3", "kappa-mu-shadowed-800-1.5-3"])
+    def test_poisson_and_negative_binomial(self, model, index_tail):
+        mix = fa.gamma_mixture(model)
+        n = len(mix.terms) - 1
+        assert abs(mix.truncation_error_bound - index_tail(n)) <= 1e-13
+        assert mix.truncation_error_bound == pytest.approx(index_tail(n), rel=1e-12, abs=0.0)
+        # n is the smallest index whose tail mass is below rel_tol / 100
+        assert mix.truncation_error_bound <= 1e-12 <= index_tail(n - 1)
+
+    @pytest.mark.parametrize("model", [fa.TWDP(4.0, 0.9), fa.TWDP(30.0, 1.0),
+                                       fa.TWDP(400.0, 0.5)], ids=repr)
+    def test_twdp_is_below_the_peak_rate_tail(self, model):
+        K, D = model.k_r, model.delta
+        mix = fa.gamma_mixture(model)
+        n = len(mix.terms) - 1
+        peak_tail = sc.gammainc(n + 1, K * (1.0 + D))
+        assert 0.0 < mix.truncation_error_bound <= peak_tail <= 1e-12 <= sc.gammainc(n, K * (1 + D))
+        # it is the phase average of the Poisson tail itself
+        ref, _ = quad(lambda a: sc.gammainc(n + 1, K * (1.0 + D * math.cos(a))), 0.0, 2 * math.pi,
+                      epsabs=0.0, epsrel=1e-12, limit=200)
+        assert mix.truncation_error_bound == pytest.approx(ref / (2 * math.pi), rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("baseline", [fa.Rician(3.0), fa.KappaMuShadowed(2.0, 1.5, 3.0),
+                                          fa.TWDP(4.0, 0.9), fa.NakagamiM(2.2)], ids=repr)
+    def test_terms_are_the_arrays_the_route_sums(self, baseline, monkeypatch):
+        seen = []
+        arrays = fa._MixtureBaseline.mixture_arrays
+        monkeypatch.setattr(fa._MixtureBaseline, "mixture_arrays",
+                            lambda self, *args: seen.append(arrays(self, *args)) or seen[-1])
+        model = co.CompositeModel(2.5, 1.7, baseline)
+        co.composite_cdf(model, np.array([0.3, 1.0, 2.0]))
+        (route,) = seen
+        shapes = route.shape + np.arange(route.weights.size)
+        for mix in (fa.gamma_mixture(model.baseline), co.mixture_of_f(model)):
+            assert [t.weight for t in mix.terms] == route.weights.tolist()
+            assert mix.truncation_error_bound == route.truncation_error_bound
+        gm, fm = fa.gamma_mixture(model.baseline), co.mixture_of_f(model)
+        assert [t.shape for t in gm.terms] == [t.params.k for t in fm.terms] == shapes.tolist()
+        np.testing.assert_allclose([t.omega for t in gm.terms], shapes * route.scale, rtol=1e-15)
+        np.testing.assert_allclose([t.params.omega for t in fm.terms],
+                                   shapes * route.scale * model.w_bar, rtol=1e-15)
 
 
 def _closed_form_tail_alpha(model) -> float:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
+from typing import NamedTuple
 
 import numpy as np
 import scipy.special as sc
@@ -43,7 +44,6 @@ from .numerics import (  # noqa: F401
 __all__ = [
     "CompositeModel",
     "FDistParams",
-    "FTerm",
     "FMixture",
     "Strategy",
     "f_pdf",
@@ -110,18 +110,15 @@ class FDistParams:
             raise ValueError(f"FDistParams: omega must be > 0, got {self.omega}")
 
 
-@_frozen
-class FTerm:
-    weight: float
-    params: FDistParams
+class FMixture(NamedTuple):
+    """An F mixture as arrays: component i has weight weights[i] and law
+    FDistParams(m, shape + i, (shape + i) * scale). The weights are
+    probabilities and sum to 1 - truncation_error_bound."""
 
-
-@_frozen
-class FMixture:
-    """F components whose weights are probabilities: they sum to
-    1 - truncation_error_bound."""
-
-    terms: tuple[FTerm, ...]
+    weights: np.ndarray
+    m: float
+    shape: float
+    scale: float
     truncation_error_bound: float
 
 
@@ -161,14 +158,12 @@ def f_cdf(params: FDistParams, t):
 
 
 def mixture_of_f(model: CompositeModel, tol: Tolerance = DEFAULT_TOL) -> FMixture:
-    """Map the baseline's gamma mixture onto F components (means scale by
-    w_bar): a view, as terms, of the arrays the mixture route sums."""
+    """The baseline's gamma mixture (`fading.gamma_mixture`) mapped onto F
+    components: same weights, shapes and bound, shadowing shape m, scale
+    times w_bar."""
     gm = fading.gamma_mixture(model.baseline, tol)
-    terms = tuple(
-        FTerm(t.weight, FDistParams(model.m, t.shape, t.omega * model.w_bar))
-        for t in gm.terms
-    )
-    return FMixture(terms, gm.truncation_error_bound)
+    return FMixture(gm.weights, model.m, gm.shape, gm.scale * model.w_bar,
+                    gm.truncation_error_bound)
 
 
 def _resolve(model: CompositeModel, strategy: Strategy) -> Strategy:
@@ -261,7 +256,7 @@ def _f_mixture(model: CompositeModel, t: np.ndarray, tol: Tolerance, pdf: bool) 
     point, and no Python object per component.
     """
     points = max(t.size, 1)
-    mix = model.baseline.mixture_arrays(tol, points)
+    mix = model.baseline.mixture(tol, points)
     m = model.m
     a = mix.shape + np.arange(mix.weights.size)
     c = (m - 1.0) * mix.scale * model.w_bar

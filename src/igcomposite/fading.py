@@ -8,9 +8,9 @@ the PDF (`tail`), a physically constructed sampler (`draw`) and, for the
 six baselines that have one, a gamma-mixture representation (`mixture`).
 Those six state their mixture law once, as the first component's shape,
 the common scale and the law of the component index, whose weights come
-as one array and whose exact upper tail sets where the mixture is cut;
-`mixture_arrays`, `mixture` and `tail` derive from it. The module
-functions of the same names dispatch to these methods.
+as one array and whose upper-tail bound sets where the mixture is cut;
+`mixture` and `tail` derive from it. The module functions of the same
+names dispatch to these methods.
 All power variables carry mean omega_x; evaluations are pure functions.
 """
 
@@ -43,7 +43,6 @@ __all__ = [
     "KappaMuShadowed",
     "TWDP",
     "FadingModel",
-    "GammaTerm",
     "GammaMixture",
     "TailParams",
     "gmgf",
@@ -57,10 +56,10 @@ __all__ = [
 
 # The most components x points a mixture route may take on, well under a
 # second of F sum: 5000 components at a 24.6k-point validation still fit.
-# Each component counts as at least _MIN_POINTS points, for its weight,
-# its row of the F sum and its term in a `GammaMixture`, so that at a few
-# points the budget stops at 131072 components (1 MB of weights, some 30 MB
-# as terms). Past it the route raises before it builds any weight array.
+# Each component counts as at least _MIN_POINTS points, for its weight
+# and its row of the F sum, so that at a few points the budget stops at
+# 131072 components (1 MB of weights). Past it the route raises before it
+# builds any weight array.
 _MIXTURE_BUDGET = 1 << 27
 _MIN_POINTS = 1 << 10
 
@@ -73,23 +72,19 @@ _PHASE_COLUMNS = 1024
 _LN_UNDERFLOW = -745.0
 
 
-@dataclass(frozen=True)
-class GammaTerm:
-    weight: float
+class GammaMixture(NamedTuple):
+    """A gamma mixture as arrays: component i has weight weights[i], shape
+    shape + i and mean (shape + i) * scale. The weights are probabilities.
+    The mixture is cut from above only: it keeps components 0..n for the
+    smallest n whose bound on the upper-tail mass P(N > n) of the component
+    index is below tol.rel_tol / 100; the weights sum to
+    1 - truncation_error_bound, that bound. There is no component cap; a
+    mixture that passes the module's components x points budget raises
+    ConvergenceError before any weight is computed."""
+
+    weights: np.ndarray
     shape: float
-    omega: float
-
-
-@dataclass(frozen=True)
-class GammaMixture:
-    """Gamma components whose weights are probabilities. The mixture is cut
-    from above only: it keeps components 0..n for the smallest n whose
-    exact upper-tail mass P(N > n) is below tol.rel_tol / 100, so the
-    weights sum to 1 - truncation_error_bound, that mass. There is no
-    component cap; a mixture that passes the module's components x points
-    budget raises ConvergenceError before any weight is computed."""
-
-    terms: tuple[GammaTerm, ...]
+    scale: float
     truncation_error_bound: float
 
 
@@ -135,45 +130,28 @@ class _Baseline:
         return self._law.tail()
 
 
-class MixtureArrays(NamedTuple):
-    """A gamma mixture as arrays: component i has weight weights[i], shape
-    shape + i and mean (shape + i) * scale."""
-
-    weights: np.ndarray
-    shape: float
-    scale: float
-    truncation_error_bound: float
-
-
 class _MixtureBaseline(_Baseline):
     """A baseline whose power PDF is a gamma mixture. It supplies
     `_mixture_law()` -> (index law, shape, scale), or inherits it from its
     `_law`: component i has weight P(N = i) under the index law, shape
-    `shape` + i and mean (shape + i) * scale. `mixture_arrays`, `mixture`
-    and `tail` all derive from it."""
+    `shape` + i and mean (shape + i) * scale. `mixture` and `tail` both
+    derive from it."""
 
     def _mixture_law(self):
         return self._law._mixture_law()
 
-    def mixture_arrays(self, tol: Tolerance = DEFAULT_TOL, points: int = 1) -> MixtureArrays:
+    def mixture(self, tol: Tolerance = DEFAULT_TOL, points: int = 1) -> GammaMixture:
         """The mixture for an evaluation at `points` points; see
         `GammaMixture` for where it is cut."""
         law, shape, scale = self._mixture_law()
         n = _last_index(self, law, tol.rel_tol * 1e-2, points)
         weights = np.exp(law.ln_weights(n, tol))
-        tail = law.tail(n, tol)
-        # they hold exactly 1 - tail: scaling them to it removes the drift
+        tail = law.upper_tail(n)
+        # they sum to 1 - tail (TWDP's to within the 1e-12 its bound
+        # exceeds the mass left out): scaling them to it removes the drift
         # their large log-gamma terms share (3e-13 relative at rate 1000)
         weights *= (1.0 - tail) / weights.sum()
-        return MixtureArrays(weights, shape, scale, tail)
-
-    def mixture(self, tol: Tolerance = DEFAULT_TOL) -> GammaMixture:
-        mix = self.mixture_arrays(tol)
-        return GammaMixture(
-            tuple(GammaTerm(w, mix.shape + i, (mix.shape + i) * mix.scale)
-                  for i, w in enumerate(mix.weights.tolist())),
-            mix.truncation_error_bound,
-        )
+        return GammaMixture(weights, shape, scale, tail)
 
     def tail(self) -> TailParams:
         # component i vanishes like x^(shape+i-1) at the origin, so the
@@ -266,9 +244,6 @@ class _Poisson:
     def upper_tail(self, n: int) -> float:
         return float(sc.gammainc(n + 1.0, self.rate))
 
-    def tail(self, n: int, tol: Tolerance) -> float:
-        return self.upper_tail(n)
-
     def ln_weights(self, n: int, tol: Tolerance) -> np.ndarray:
         i = np.arange(n + 1.0)
         return sc.xlogy(i, self.rate) - self.rate - sc.gammaln(i + 1.0)
@@ -289,9 +264,6 @@ class _NegativeBinomial:
     def upper_tail(self, n: int) -> float:
         return float(sc.betainc(n + 1.0, self.size, self.mean / (self.size + self.mean)))
 
-    def tail(self, n: int, tol: Tolerance) -> float:
-        return self.upper_tail(n)
-
     def ln_weights(self, n: int, tol: Tolerance) -> np.ndarray:
         size, total = self.size, self.size + self.mean
         i = np.arange(n + 1.0)
@@ -300,37 +272,14 @@ class _NegativeBinomial:
 
 
 @dataclass(frozen=True)
-class _PhasePoisson:
+class _PhasePoisson(_Poisson):
     """TWDP's component index: Poisson at rate K (1 + D cos a), averaged
-    over a uniform phase a. Its upper tail is at most the Poisson tail at
-    the peak rate K (1 + D), which sets the component count; `tail` is the
-    exact phase average."""
+    over a uniform phase a. The Poisson tail P(N > n) grows with the rate,
+    so the phase average is at most the tail at the peak rate K (1 + D):
+    `rate` is that peak, and the cut and bound are the Poisson law's."""
 
     K: float
     D: float
-
-    @property
-    def _peak(self) -> _Poisson:
-        return _Poisson(self.K * (1.0 + self.D))
-
-    def first_guess(self, cut: float) -> float:
-        return self._peak.first_guess(cut)
-
-    def upper_tail(self, n: int) -> float:
-        return self._peak.upper_tail(n)
-
-    def tail(self, n: int, tol: Tolerance) -> float:
-        # P(n + 1, rate) grows with the rate, so each node lies in [0, 1]
-        # once divided by its value at the peak rate
-        peak = self.upper_tail(n)
-        if peak == 0.0:
-            return 0.0
-
-        def integrand(alpha: np.ndarray) -> np.ndarray:
-            return sc.gammainc(n + 1.0, self.K * (1.0 + self.D * np.cos(alpha))) / peak
-
-        val, _ = integrate_finite(integrand, 0.0, 2.0 * math.pi, _phase_tol(tol))
-        return peak * val / (2.0 * math.pi)
 
     def ln_weights(self, n: int, tol: Tolerance) -> np.ndarray:
         j = np.arange(n + 1.0)
@@ -701,7 +650,8 @@ class TWDP(_MixtureBaseline):
         )
 
     def _mixture_law(self):
-        return _PhasePoisson(self.k_r, self.delta), 1.0, self.omega_x / (1.0 + self.k_r)
+        K, D = self.k_r, self.delta
+        return _PhasePoisson(K * (1.0 + D), K, D), 1.0, self.omega_x / (1.0 + K)
 
     def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
         v1, v2, sigma2 = twdp_specular_amplitudes(self)
@@ -747,11 +697,6 @@ def _twdp_ln_weights(j: np.ndarray, K: float, D: float, tol: Tolerance) -> np.nd
     return ln_peak - sc.gammaln(j + 1.0) + np.log(val / (2.0 * math.pi))
 
 
-def twdp_ln_weight(j: int, K: float, D: float, tol: Tolerance = DEFAULT_TOL) -> float:
-    """ln of the j-th TWDP mixture weight; see `_twdp_ln_weights`."""
-    return float(_twdp_ln_weights(np.array([float(j)]), K, D, tol)[0])
-
-
 def twdp_specular_amplitudes(model: TWDP) -> tuple[float, float, float]:
     """Recover (V1, V2, sigma^2) from (K, delta, omega_x), with V1 >= V2."""
     K, D, om = model.k_r, model.delta, model.omega_x
@@ -782,7 +727,11 @@ def gmgf(model: FadingModel, p: float, s: float, tol: Tolerance = DEFAULT_TOL) -
         raise ValueError(f"gmgf: p must be >= 0, got {p}")
     if not s <= 0:
         raise ValueError(f"gmgf: s must be <= 0, got {s}")
-    ln_phi = gmgf_log(model, p, s, tol)
+    try:
+        ln_phi = gmgf_log(model, p, s, tol)
+    except ConvergenceError as exc:
+        raise ConvergenceError(f"{model!r}: GMGF at p = {p}, s = {s}: {exc}",
+                               exc.estimate, exc.error_bound) from exc
     if math.isnan(ln_phi):
         raise ConvergenceError(
             f"{model!r}: GMGF lost all precision at p = {p}, s = {s} (a hypergeometric "
@@ -799,11 +748,13 @@ def gamma_mixture(model: FadingModel, tol: Tolerance = DEFAULT_TOL) -> GammaMixt
     shadowed, phase-averaged Poisson weights for TWDP. Hoyt and eta-mu have
     no published mixture.
 
-    The view of `mixture_arrays` as terms. No component cap applies: the
-    components run up to where the exact upper-tail mass falls below
-    tol.rel_tol / 100, and truncation_error_bound is that mass. A mixture
-    past the module's components x points budget raises ConvergenceError
-    naming the model and the budget."""
+    The arrays the mixture route sums (see `GammaMixture`). No component
+    cap applies: the components run up to where the upper-tail bound of
+    the component index falls below tol.rel_tol / 100, and
+    truncation_error_bound is that bound: the exact tail mass for Poisson
+    and negative-binomial weights, the Poisson tail at the peak rate
+    K (1 + delta) for TWDP. A mixture past the module's components x points
+    budget raises ConvergenceError naming the model and the budget."""
     if not hasattr(model, "mixture"):
         raise ValueError(
             f"gamma_mixture: no mixture representation for {type(model).__name__}"

@@ -85,15 +85,21 @@ def pdf_hoyt(x, q, om=1.0):
     ) * sc.i0e(z)
 
 
+def ln_pdf_kappa_mu(x, kap, mu, om=1.0):
+    """ln of the kappa-mu power PDF (Rician at mu = 1, kappa > 0) of mean
+    om; vectorized. The Bessel factor is scaled (ive) and the exponentials
+    stay in the exponent, so nothing overflows at a strong line of sight,
+    where e^(mu kappa) leaves double range once mu kappa > 709."""
+    y = np.asarray(x, dtype=float) / om
+    z = 2 * mu * np.sqrt(kap * (1 + kap) * y)
+    with np.errstate(divide="ignore"):  # ive underflows only where the density does
+        ln_bessel = np.log(sc.ive(mu - 1, z))
+    return (math.log(mu / om) + (mu + 1) / 2 * math.log1p(kap) - (mu - 1) / 2 * math.log(kap)
+            - mu * kap + (mu - 1) / 2 * np.log(y) - mu * (1 + kap) * y + z + ln_bessel)
+
+
 def pdf_kappa_mu(x, kap, mu, om=1.0):
-    z = 2 * mu * np.sqrt(kap * (1 + kap) * x / om)
-    return (
-        mu * (1 + kap) ** ((mu + 1) / 2)
-        / (kap ** ((mu - 1) / 2) * np.exp(mu * kap) * om)
-        * (x / om) ** ((mu - 1) / 2)
-        * np.exp(-mu * (1 + kap) * x / om + z)
-        * sc.ive(mu - 1, z)
-    )
+    return np.exp(ln_pdf_kappa_mu(x, kap, mu, om))
 
 
 def pdf_eta_mu(x, eta, mu, om=1.0):
@@ -109,40 +115,23 @@ def pdf_eta_mu(x, eta, mu, om=1.0):
     )
 
 
-def pdf_kappa_mu_shadowed(x, kap, mu, mf, om=1.0):
-    pre = (
-        mu**mu * mf**mf * (1 + kap) ** mu
-        / (sc.gamma(mu) * om * (mu * kap + mf) ** mf)
-    )
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = (
-            pre
-            * (x / om) ** (mu - 1)
-            * np.exp(-mu * (1 + kap) * x / om)
-            * sc.hyp1f1(mf, mu, mu * mu * kap * (1 + kap) / (mu * kap + mf) * x / om)
-        )
-    # exp underflow against 1F1 overflow only happens far out in the tail,
-    # where the true density has left float range
-    return np.where(np.isfinite(out), out, 0.0)
-
-
-def ln_pdf_kappa_mu(x: float, kap: float, mu: float) -> float:
-    """ln of the unit-mean kappa-mu power PDF (Rician at mu = 1), with the
-    Bessel factor scaled: `pdf_kappa_mu` overflows once mu kappa > 709."""
-    z = 2 * mu * math.sqrt(kap * (1 + kap) * x)
-    return (math.log(mu) + (mu + 1) / 2 * math.log1p(kap) - (mu - 1) / 2 * math.log(kap)
-            - mu * kap + (mu - 1) / 2 * math.log(x) - mu * (1 + kap) * x
-            + z + math.log(sc.ive(mu - 1, z)))
-
-
-def ln_pdf_kappa_mu_shadowed(x: float, kap: float, mu: float, mf: float) -> float:
-    """ln of the unit-mean kappa-mu shadowed power PDF, its 1F1 taken by
-    Kummer's transformation 1F1(mf; mu; w) = e^w 1F1(mu - mf; mu; -w):
-    `pdf_kappa_mu_shadowed` overflows once w passes about 700."""
-    w = mu * mu * kap * (1 + kap) / (mu * kap + mf) * x
+def ln_pdf_kappa_mu_shadowed(x, kap, mu, mf, om=1.0):
+    """ln of the kappa-mu shadowed power PDF of mean om; vectorized. From
+    w = 100 on, 1F1(mf; mu; w) is taken by Kummer's transformation
+    e^w 1F1(mu - mf; mu; -w), with e^w in the exponent: the direct 1F1
+    overflows once w passes about 700."""
+    y = np.asarray(x, dtype=float) / om
+    w = mu * mu * kap * (1 + kap) / (mu * kap + mf) * y
+    small = w < 100.0
+    ln_hyp = np.where(small, np.log(sc.hyp1f1(mf, mu, np.where(small, w, 0.0))),
+                      w + np.log(sc.hyp1f1(mu - mf, mu, -w)))
     return (mu * math.log(mu) + mf * math.log(mf) + mu * math.log1p(kap) - math.lgamma(mu)
-            - mf * math.log(mu * kap + mf) + (mu - 1) * math.log(x) - mu * (1 + kap) * x
-            + w + math.log(sc.hyp1f1(mu - mf, mu, -w)))
+            - math.log(om) - mf * math.log(mu * kap + mf) + (mu - 1) * np.log(y)
+            - mu * (1 + kap) * y + ln_hyp)
+
+
+def pdf_kappa_mu_shadowed(x, kap, mu, mf, om=1.0):
+    return np.exp(ln_pdf_kappa_mu_shadowed(x, kap, mu, mf, om))
 
 
 def _ln_gammaincc(a: float, y: float) -> float:

@@ -64,8 +64,8 @@ class TestEval:
 
         from igcomposite import fading as fa, gamma_mixture
 
-        assert len(gamma_mixture(fa.TWDP(4.0, 0.9)).terms) >= 15
-        assert len(gamma_mixture(fa.TWDP(10.0, 0.9)).terms) >= 30
+        assert gamma_mixture(fa.TWDP(4.0, 0.9)).weights.size >= 15
+        assert gamma_mixture(fa.TWDP(10.0, 0.9)).weights.size >= 30
         cases = [
             ('{"shadowing":{"m":4},"fading":{"type":"twdp","k_r":4,"delta":0.9},"mean_power":1}', "0.005:0.005:10"),
             ('{"shadowing":{"m":6},"fading":{"type":"twdp","k_r":4,"delta":0.9},"mean_power":8}', "0.01:0.01:16"),
@@ -405,6 +405,14 @@ class TestGmgf:
                      "--p", "2", "--s=-1"]) == 0
         v2 = capsys.readouterr().out
         assert v1 == v2
+
+    def test_quadrature_failure_names_model_and_point(self, capsys):
+        rc = main(["gmgf", "--fading", '{"type":"twdp","k_r":400,"delta":0.5}',
+                   "--p", "40", "--s=-0.5"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric non-convergence: TWDP(k_r=400.0, delta=0.5, omega_x=1.0): "
+                              "GMGF at p = 40.0, s = -0.5: quadrature sum is not finite")
 
     def test_bad_domain_exits_2(self):
         assert main(["gmgf", "--fading", '{"type":"rayleigh"}',

@@ -25,9 +25,11 @@ def mixture_cdf_by_terms(model, u):
     """Loop reference for the mixture route: one incomplete beta per F term."""
     mix = co.mixture_of_f(model)
     total = np.zeros_like(u)
-    for term in mix.terms:
-        m, k, om = term.params.m, term.params.k, term.params.omega
-        total += term.weight * sc.betainc(k, m, k * u / (k * u + (m - 1.0) * om))
+    m = mix.m
+    for i, weight in enumerate(mix.weights):
+        k = mix.shape + i
+        om = k * mix.scale
+        total += weight * sc.betainc(k, m, k * u / (k * u + (m - 1.0) * om))
     return np.clip(total, 0.0, 1.0)
 
 
@@ -368,16 +370,16 @@ class TestMixtureOfF:
     def test_nakagami_single_term(self):
         model = co.CompositeModel(3.0, 2.0, fa.NakagamiM(2.2))
         mix = co.mixture_of_f(model)
-        assert len(mix.terms) == 1
-        term = mix.terms[0]
-        assert term.params == co.FDistParams(3.0, 2.2, 2.0)
+        assert mix.weights.tolist() == [1.0]
+        assert co.FDistParams(mix.m, mix.shape, mix.shape * mix.scale) \
+            == co.FDistParams(3.0, 2.2, 2.0)
 
     def test_twdp_delta0_poisson(self):
         K = 3.0
         model = co.CompositeModel(2.0, 1.0, fa.TWDP(K, 0.0))
         mix = co.mixture_of_f(model)
-        assert mix.terms[1].weight == pytest.approx(K * math.exp(-K), rel=1e-10)
-        assert mix.terms[1].params.k == 2.0
+        assert mix.weights[1] == pytest.approx(K * math.exp(-K), rel=1e-10)
+        assert mix.shape + 1 == 2.0
 
     def test_reconstruction_vs_general(self):
         model = co.CompositeModel(3.2, 1.0, fa.KappaMuShadowed(2.0, 1.5, 3.0))

@@ -119,6 +119,18 @@ class TestGmgf:
         with pytest.raises(nm.ConvergenceError):
             fa.gmgf(fa.Rician(1000.0), 1000.5, -0.05)
 
+    def test_quadrature_failure_names_model_and_point(self):
+        # TWDP's phase integrand overflows at K = 400, p = 40: the error
+        # says which model and which (p, s), and keeps the estimate
+        model = fa.TWDP(400.0, 0.5)
+        with pytest.raises(nm.ConvergenceError,
+                           match=r"^TWDP\(k_r=400.0, delta=0.5, omega_x=1.0\): GMGF at "
+                                 r"p = 40.0, s = -0.5: quadrature sum is not finite") as exc:
+            fa.gmgf(model, 40.0, -0.5)
+        assert isinstance(exc.value.__cause__, nm.ConvergenceError)
+        assert exc.value.estimate is exc.value.__cause__.estimate
+        assert exc.value.error_bound is exc.value.__cause__.error_bound
+
     def test_twdp_closed_form_vs_quadrature(self):
         model = fa.TWDP(k_r=4.0, delta=0.9)
         val = fa.gmgf(model, 2.0, -1.5)
@@ -268,11 +280,9 @@ class TestPdf:
     def test_twdp_mixture_vs_integral(self):
         model = fa.TWDP(4.0, 0.5)
         mix = fa.gamma_mixture(model)
+        shapes = mix.shape + np.arange(mix.weights.size)
         for x in (0.2, 0.7, 1.5, 4.0):
-            recon = sum(
-                t.weight * st.gamma.pdf(x, t.shape, scale=t.omega / t.shape)
-                for t in mix.terms
-            )
+            recon = mix.weights @ st.gamma.pdf(x, shapes, scale=mix.scale)
             assert recon == pytest.approx(fa.pdf(model, x), abs=1e-8)
 
     @pytest.mark.parametrize("model", MODELS, ids=lambda m: type(m).__name__)
@@ -330,28 +340,70 @@ class TestPdf:
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
 
 
+class TestOraclesAtStrongLineOfSight:
+    """The oracle PDFs stay finite and normalized where e^(mu kappa) and the
+    direct 1F1 leave double range."""
+
+    CASES = [
+        (fa.KappaMu(3000.0, 2.0), [0.9, 1.0, 1.05]),
+        (fa.KappaMuShadowed(800.0, 1.5, 3.0), [0.3, 1.0, 2.5]),
+    ]
+
+    @staticmethod
+    def _mpmath_pdf(model, x):
+        x = mpmath.mpf(x)
+        kap, mu = mpmath.mpf(model.kappa), mpmath.mpf(model.mu)
+        if isinstance(model, fa.KappaMu):
+            return (mu * (1 + kap) ** ((mu + 1) / 2) / (kap ** ((mu - 1) / 2) * mpmath.exp(mu * kap))
+                    * x ** ((mu - 1) / 2) * mpmath.exp(-mu * (1 + kap) * x)
+                    * mpmath.besseli(mu - 1, 2 * mu * mpmath.sqrt(kap * (1 + kap) * x)))
+        mf = mpmath.mpf(model.m_f)
+        return (mu**mu * mf**mf * (1 + kap) ** mu / (mpmath.gamma(mu) * (mu * kap + mf) ** mf)
+                * x ** (mu - 1) * mpmath.exp(-mu * (1 + kap) * x)
+                * mpmath.hyp1f1(mf, mu, mu * mu * kap * (1 + kap) / (mu * kap + mf) * x))
+
+    IDS = ["kappa-mu-3000-2", "kappa-mu-shadowed-800-1.5-3"]
+
+    @pytest.mark.parametrize("model, xs", CASES, ids=IDS)
+    def test_unit_mass(self, model, xs):
+        f = oracle_pdf(model)
+        mass, _ = quad(f, 0.0, 50.0, points=[1.0], limit=400, epsabs=0.0, epsrel=1e-12)
+        assert mass == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("model, xs", CASES, ids=IDS)
+    def test_matches_mpmath_and_the_library(self, model, xs):
+        got = oracle_pdf(model)(np.array(xs))
+        with mpmath.workdps(30):
+            want = np.array([float(self._mpmath_pdf(model, x)) for x in xs])
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+        np.testing.assert_allclose(fa.pdf(model, np.array(xs)), got, rtol=1e-9, atol=0.0)
+
+
 class TestGammaMixture:
     def test_nakagami_single_term(self):
         mix = fa.gamma_mixture(fa.NakagamiM(2.3, omega_x=1.4))
-        assert len(mix.terms) == 1
-        assert mix.terms[0] == fa.GammaTerm(1.0, 2.3, 1.4)
+        assert mix.weights.tolist() == [1.0]
+        assert mix.shape == 2.3
+        assert mix.shape * mix.scale == 1.4
 
     def test_twdp_delta0_poisson(self):
         K = 3.0
         mix = fa.gamma_mixture(fa.TWDP(K, 0.0))
-        for j, term in enumerate(mix.terms[:8]):
-            assert term.weight == pytest.approx(
+        assert mix.shape == 1.0
+        assert mix.scale == pytest.approx(1.0 / (K + 1.0))
+        for j, weight in enumerate(mix.weights[:8]):
+            assert weight == pytest.approx(
                 math.exp(-K) * K**j / math.factorial(j), rel=1e-10
             )
-            assert term.shape == j + 1.0
-            assert term.omega == pytest.approx((j + 1.0) / (K + 1.0))
 
     @pytest.mark.parametrize("K,D", [(2.0, 0.5), (4.0, 0.9), (6.0, 0.3)])
     def test_twdp_weights_match_bessel_sum(self, K, D):
         from oracles import twdp_weight_bessel_sum
 
-        for j in range(0, 25, 4):
-            assert math.exp(fa.twdp_ln_weight(j, K, D)) == pytest.approx(
+        js = np.arange(0.0, 25.0, 4.0)
+        got = np.exp(fa._twdp_ln_weights(js, K, D, nm.DEFAULT_TOL))
+        for j, weight in zip(js.astype(int), got):
+            assert weight == pytest.approx(
                 math.exp(-K) * twdp_weight_bessel_sum(j, K, D), rel=1e-10
             )
 
@@ -378,12 +430,10 @@ class TestGammaMixture:
     )
     def test_reconstruction(self, model):
         mix = fa.gamma_mixture(model)
+        shapes = mix.shape + np.arange(mix.weights.size)
         xs = np.logspace(-2, 1, 25) * model.omega_x
         for x in xs:
-            recon = sum(
-                t.weight * st.gamma.pdf(x, t.shape, scale=t.omega / t.shape)
-                for t in mix.terms
-            )
+            recon = mix.weights @ st.gamma.pdf(x, shapes, scale=mix.scale)
             assert recon == pytest.approx(fa.pdf(model, x), abs=1e-6)
 
     @pytest.mark.parametrize("model", [
@@ -396,12 +446,14 @@ class TestGammaMixture:
     ], ids=lambda m: type(m).__name__)
     def test_shapes_step_by_one_with_common_scale(self, model):
         # composite's mixture CDF walks down the components by the
-        # incomplete-beta recurrence, which needs exactly this structure
+        # incomplete-beta recurrence, which needs exactly this structure:
+        # one first shape and one scale for all components, which must
+        # then give the model's mean power
         mix = fa.gamma_mixture(model)
-        shapes = np.array([t.shape for t in mix.terms])
-        scales = np.array([t.omega / t.shape for t in mix.terms])
-        np.testing.assert_allclose(np.diff(shapes), 1.0, rtol=0.0, atol=1e-12)
-        np.testing.assert_allclose(scales, scales[0], rtol=1e-14)
+        assert np.ndim(mix.shape) == np.ndim(mix.scale) == 0
+        assert mix.weights.ndim == 1
+        shapes = mix.shape + np.arange(mix.weights.size)
+        assert mix.weights @ shapes * mix.scale == pytest.approx(model.omega_x, rel=1e-10)
 
     def test_unsupported(self):
         with pytest.raises(ValueError):
@@ -437,7 +489,7 @@ class TestGammaMixture:
         # m_f = 2 decay by only 800/802 per term: the former 5000-term cap
         # refused this mixture
         mix = fa.gamma_mixture(fa.KappaMuShadowed(800.0, 1.0, 2.0))
-        assert len(mix.terms) > 5000
+        assert mix.weights.size > 5000
         assert mix.truncation_error_bound < 1e-12
 
     @pytest.mark.parametrize("model", [
@@ -447,10 +499,9 @@ class TestGammaMixture:
     def test_no_line_of_sight_is_one_gamma(self, model):
         # at rate 0 the log weights put all mass on the first component
         mix = fa.gamma_mixture(model)
-        assert len(mix.terms) == 1
-        assert mix.terms[0].weight == 1.0
+        assert mix.weights.tolist() == [1.0]
         assert mix.truncation_error_bound == 0.0
-        assert mix.terms[0].omega == pytest.approx(model.omega_x, rel=1e-15)
+        assert mix.shape * mix.scale == pytest.approx(model.omega_x, rel=1e-15)
 
     @pytest.mark.parametrize("model", [fa.Rician(1000.0), fa.KappaMu(400.0, 2.0),
                                        fa.TWDP(400.0, 0.5)], ids=repr)
@@ -458,15 +509,16 @@ class TestGammaMixture:
         # each weight is formed in log space with its normalization, so no
         # intermediate e^K overflows
         mix = fa.gamma_mixture(model)
-        weights = np.array([t.weight for t in mix.terms])
+        weights = mix.weights
         assert np.all((weights >= 0) & (weights <= 1))
         assert abs(1.0 - weights.sum()) == pytest.approx(mix.truncation_error_bound, abs=1e-13)
         assert mix.truncation_error_bound < 1e-12
 
 
 class TestExactTailMass:
-    """The mixture is cut where the exact upper-tail mass of its component
-    index falls below rel_tol / 100, and that mass is the bound."""
+    """The mixture is cut where the upper-tail bound of its component index
+    falls below rel_tol / 100, and that bound is truncation_error_bound: the
+    exact tail mass for Poisson and negative-binomial indices."""
 
     @pytest.mark.parametrize("model, index_tail", [
         (fa.Rician(3.0), lambda n: sc.gammainc(n + 1, 3.0)),
@@ -479,7 +531,7 @@ class TestExactTailMass:
             "kappa-mu-shadowed-2-1.5-3", "kappa-mu-shadowed-800-1.5-3"])
     def test_poisson_and_negative_binomial(self, model, index_tail):
         mix = fa.gamma_mixture(model)
-        n = len(mix.terms) - 1
+        n = mix.weights.size - 1
         assert abs(mix.truncation_error_bound - index_tail(n)) <= 1e-13
         assert mix.truncation_error_bound == pytest.approx(index_tail(n), rel=1e-12, abs=0.0)
         # n is the smallest index whose tail mass is below rel_tol / 100
@@ -490,33 +542,38 @@ class TestExactTailMass:
     def test_twdp_is_below_the_peak_rate_tail(self, model):
         K, D = model.k_r, model.delta
         mix = fa.gamma_mixture(model)
-        n = len(mix.terms) - 1
+        n = mix.weights.size - 1
         peak_tail = sc.gammainc(n + 1, K * (1.0 + D))
-        assert 0.0 < mix.truncation_error_bound <= peak_tail <= 1e-12 <= sc.gammainc(n, K * (1 + D))
-        # it is the phase average of the Poisson tail itself
+        # the bound is the Poisson tail at the peak rate K (1 + delta), and
+        # n is the smallest index where it is below rel_tol / 100
+        assert abs(mix.truncation_error_bound - peak_tail) <= 1e-13
+        assert 0.0 < mix.truncation_error_bound <= 1e-12 <= sc.gammainc(n, K * (1 + D))
+        # it bounds the mass actually left out, the phase average of the
+        # Poisson tail
         ref, _ = quad(lambda a: sc.gammainc(n + 1, K * (1.0 + D * math.cos(a))), 0.0, 2 * math.pi,
                       epsabs=0.0, epsrel=1e-12, limit=200)
-        assert mix.truncation_error_bound == pytest.approx(ref / (2 * math.pi), rel=1e-9, abs=0.0)
+        assert mix.truncation_error_bound >= ref / (2 * math.pi)
 
     @pytest.mark.parametrize("baseline", [fa.Rician(3.0), fa.KappaMuShadowed(2.0, 1.5, 3.0),
                                           fa.TWDP(4.0, 0.9), fa.NakagamiM(2.2)], ids=repr)
     def test_terms_are_the_arrays_the_route_sums(self, baseline, monkeypatch):
+        # `gamma_mixture` gives the arrays the route sums, and `mixture_of_f`
+        # the same components with shadowing shape m and scale times w_bar
         seen = []
-        arrays = fa._MixtureBaseline.mixture_arrays
-        monkeypatch.setattr(fa._MixtureBaseline, "mixture_arrays",
-                            lambda self, *args: seen.append(arrays(self, *args)) or seen[-1])
+        build = fa._MixtureBaseline.mixture
+        monkeypatch.setattr(fa._MixtureBaseline, "mixture",
+                            lambda self, *args: seen.append(build(self, *args)) or seen[-1])
         model = co.CompositeModel(2.5, 1.7, baseline)
         co.composite_cdf(model, np.array([0.3, 1.0, 2.0]))
         (route,) = seen
-        shapes = route.shape + np.arange(route.weights.size)
-        for mix in (fa.gamma_mixture(model.baseline), co.mixture_of_f(model)):
-            assert [t.weight for t in mix.terms] == route.weights.tolist()
-            assert mix.truncation_error_bound == route.truncation_error_bound
         gm, fm = fa.gamma_mixture(model.baseline), co.mixture_of_f(model)
-        assert [t.shape for t in gm.terms] == [t.params.k for t in fm.terms] == shapes.tolist()
-        np.testing.assert_allclose([t.omega for t in gm.terms], shapes * route.scale, rtol=1e-15)
-        np.testing.assert_allclose([t.params.omega for t in fm.terms],
-                                   shapes * route.scale * model.w_bar, rtol=1e-15)
+        for mix in (gm, fm):
+            assert mix.weights.tolist() == route.weights.tolist()
+            assert mix.shape == route.shape
+            assert mix.truncation_error_bound == route.truncation_error_bound
+        assert gm.scale == route.scale
+        assert fm.m == model.m
+        assert fm.scale == route.scale * model.w_bar
 
 
 def _closed_form_tail_alpha(model) -> float:
@@ -551,7 +608,7 @@ class TestTailParams:
     def test_first_component_matches_closed_form(self, model):
         # every mixture baseline takes its tail from its first gamma component
         tp = model.tail()
-        shape = model.mixture().terms[0].shape
+        shape = model.mixture().shape
         assert tp.beta == shape - 1.0
         assert tp.alpha == pytest.approx(_closed_form_tail_alpha(model), rel=1e-12)
 

@@ -16,7 +16,7 @@ class TestTolerance:
         assert tol.rel_tol == 1e-10
         assert tol.abs_tol == 1e-14
         assert tol.max_terms == 10000
-        assert tol.max_subdivisions == 60
+        assert tol.max_subdivisions == 17
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -26,6 +26,27 @@ class TestTolerance:
     def test_rejects_bad_fields(self, kwargs):
         with pytest.raises(ValueError):
             nm.Tolerance(**kwargs)
+
+    @pytest.mark.parametrize("k", [0, 18, 60])
+    def test_max_subdivisions_range(self, k):
+        with pytest.raises(ValueError, match=r"max_subdivisions must be in 1\.\.17"):
+            nm.Tolerance(max_subdivisions=k)
+
+    @pytest.mark.parametrize("k", [1, 5, 12, 17])
+    def test_max_subdivisions_is_the_only_limit(self, k):
+        # sqrt|x| never meets a 1e-14 budget: the rule doubles k times, to
+        # 16 * 2^k nodes in all, and no other cap stops it earlier
+        nodes = []
+
+        def f(x):
+            nodes.append(x.size)
+            return np.sqrt(np.abs(x))
+
+        tol = nm.Tolerance(rel_tol=1e-14, abs_tol=0.0, max_subdivisions=k)
+        with pytest.raises(nm.ConvergenceError, match=f"on {16 << k} points"):
+            nm.integrate_finite(f, -1.0, 1.0, tol)
+        assert sum(nodes) == 16 << k
+        assert len(nodes) == k + 1
 
 
 # The library calls scipy.special directly for these functions; the checks

@@ -124,8 +124,8 @@ class FMixture(NamedTuple):
 
 def _as_positive(u, name: str) -> np.ndarray:
     arr = np.asarray(u, dtype=float)
-    if np.any(arr <= 0):
-        raise ValueError(f"{name}: support is u > 0")
+    if not np.all((arr > 0) & (arr < math.inf)):  # NaN fails both
+        raise ValueError(f"{name} must be finite and > 0")
     return arr
 
 
@@ -135,7 +135,7 @@ def _maybe_scalar(out: np.ndarray, u):
 
 def f_pdf(params: FDistParams, t):
     """F-distribution PDF; vectorized over t > 0."""
-    arr = _as_positive(t, "f_pdf")
+    arr = _as_positive(t, "f_pdf: t")
     m, k, om = params.m, params.k, params.omega
     out = np.exp(
         m * math.log(m - 1.0)
@@ -151,7 +151,7 @@ def f_pdf(params: FDistParams, t):
 def f_cdf(params: FDistParams, t):
     """F-distribution CDF I_x(k, m) at x = k t / (k t + (m-1) omega);
     vectorized over t > 0."""
-    arr = _as_positive(t, "f_cdf")
+    arr = _as_positive(t, "f_cdf: t")
     m, k, om = params.m, params.k, params.omega
     out = sc.betainc(k, m, k * arr / (k * arr + (m - 1.0) * om))
     return _maybe_scalar(out, t)
@@ -193,7 +193,7 @@ def composite_pdf(
     tol: Tolerance = DEFAULT_TOL,
 ):
     """Composite power PDF at u > 0; vectorized over u."""
-    arr = _as_positive(u, "composite_pdf")
+    arr = _as_positive(u, "composite_pdf: u")
     strat = _resolve(model, strategy)
     if strat is Strategy.MIXTURE:
         return _maybe_scalar(_f_mixture(model, arr, tol, pdf=True), u)
@@ -218,7 +218,7 @@ def composite_cdf(
     tol: Tolerance = DEFAULT_TOL,
 ):
     """Composite power CDF at u > 0; vectorized over u."""
-    arr = _as_positive(u, "composite_cdf")
+    arr = _as_positive(u, "composite_cdf: u")
     strat = _resolve(model, strategy)
     if strat is Strategy.MIXTURE:
         return _maybe_scalar(np.clip(_f_mixture(model, arr, tol, pdf=False), 0.0, 1.0), u)
@@ -346,15 +346,19 @@ def _cdf_integer(model: CompositeModel, u: np.ndarray, tol: Tolerance) -> np.nda
 
 def amplitude_pdf(model, r, strategy=Strategy.AUTO, tol=DEFAULT_TOL):
     """PDF of the received amplitude R = sqrt(W): 2 r f_W(r^2)."""
-    arr = _as_positive(r, "amplitude_pdf")
-    out = 2.0 * arr * np.asarray(composite_pdf(model, arr * arr, strategy, tol))
+    arr = _as_positive(r, "amplitude_pdf: r")
+    with np.errstate(over="ignore"):
+        power = _as_positive(arr * arr, "amplitude_pdf: r^2")
+    out = 2.0 * arr * np.asarray(composite_pdf(model, power, strategy, tol))
     return _maybe_scalar(out, r)
 
 
 def amplitude_cdf(model, r, strategy=Strategy.AUTO, tol=DEFAULT_TOL):
     """CDF of the received amplitude R = sqrt(W): F_W(r^2)."""
-    arr = _as_positive(r, "amplitude_cdf")
-    out = np.asarray(composite_cdf(model, arr * arr, strategy, tol))
+    arr = _as_positive(r, "amplitude_cdf: r")
+    with np.errstate(over="ignore"):
+        power = _as_positive(arr * arr, "amplitude_cdf: r^2")
+    out = np.asarray(composite_cdf(model, power, strategy, tol))
     return _maybe_scalar(out, r)
 
 
@@ -367,11 +371,8 @@ def outage(
 ):
     """Outage probability P(SNR < gamma_th) = F_W(w_bar gamma_th / gamma_bar);
     vectorized over gamma_th, so a whole threshold sweep is one CDF call."""
-    th = np.asarray(gamma_th, dtype=float)
-    if not np.all(th > 0):
-        raise ValueError(f"outage: gamma_th must be > 0, got {gamma_th}")
-    if not gamma_bar > 0:
-        raise ValueError(f"outage: gamma_bar must be > 0, got {gamma_bar}")
+    th = _as_positive(gamma_th, "outage: gamma_th")
+    _as_positive(gamma_bar, "outage: gamma_bar")
     return composite_cdf(model, model.w_bar * th / gamma_bar, strategy, tol)
 
 
@@ -379,11 +380,8 @@ def outage_asymptotic(model: CompositeModel, gamma_th, gamma_bar: float):
     """High-mean-SNR outage power law; slope beta+1 is the baseline's
     diversity order, shadowing only scales the intercept. Vectorized over
     gamma_th."""
-    th = np.asarray(gamma_th, dtype=float)
-    if not np.all(th > 0):
-        raise ValueError(f"outage_asymptotic: gamma_th must be > 0, got {gamma_th}")
-    if not gamma_bar > 0:
-        raise ValueError(f"outage_asymptotic: gamma_bar must be > 0, got {gamma_bar}")
+    th = _as_positive(gamma_th, "outage_asymptotic: gamma_th")
+    _as_positive(gamma_bar, "outage_asymptotic: gamma_bar")
     tp = fading.tail_params(model.baseline)
     m = model.m
     scale = math.exp(

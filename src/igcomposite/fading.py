@@ -70,6 +70,7 @@ _PHASE_COLUMNS = 1024
 # A far-tail density whose log is bounded below this rounds to 0; there
 # its special-function factor, which can be NaN so far out, is not evaluated
 _LN_UNDERFLOW = -745.0
+_LN_OVERFLOW = math.log(np.finfo(float).max)
 
 
 class GammaMixture(NamedTuple):
@@ -109,7 +110,11 @@ class _Baseline:
         arr = np.asarray(x, dtype=float)
         if np.any(arr <= 0):
             raise ValueError("fading.pdf: support is x > 0")
-        out = self._pdf(arr, tol)
+        try:
+            out = self._pdf(arr, tol)
+        except ConvergenceError as exc:
+            raise ConvergenceError(f"{self!r}: PDF at x = {arr}: {exc}",
+                                   exc.estimate, exc.error_bound) from exc
         return float(out) if np.ndim(x) == 0 else out
 
     def gmgf_log(self, p, s, tol: Tolerance = DEFAULT_TOL):
@@ -184,18 +189,21 @@ def _gamma_gmgf_log(k: float, om: float, p: np.ndarray, s: np.ndarray) -> np.nda
 
 
 def _ln_hyp1f1(a, b: float, w) -> np.ndarray:
-    """ln 1F1(a; b; w) for w >= 0. From w = 600 on, where 1F1 nears
-    overflow, by Kummer's transformation 1F1(a; b; w) = e^w 1F1(b-a; b; -w),
-    which stays exact at any a (the large-w asymptotic series does not once
-    a^2 is comparable to w). NaN where neither form is finite, for the
-    reason given at `_ln_hyp2f1`."""
-    a, w = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(w, dtype=float))
-    out = np.empty(w.shape)
-    small = w < 600.0
-    with np.errstate(divide="ignore"):
-        out[small] = np.log(sc.hyp1f1(a[small], b, w[small]))
-        out[~small] = w[~small] + np.log(sc.hyp1f1(b - a[~small], b, -w[~small]))
-    return np.where(np.isfinite(out), out, np.nan)
+    """ln 1F1(a; b; w) for a, b > 0 and w >= 0, where 1F1 >= 1. Wherever the
+    direct value leaves double range, and from w = 600 on, by Kummer's
+    transformation 1F1(a; b; w) = e^w 1F1(b-a; b; -w), which stays exact at
+    any a (the large-w asymptotic series does not once a^2 is comparable to
+    w). NaN where neither form is finite, for the reason given at
+    `_ln_hyp2f1`."""
+    out = np.log(sc.hyp1f1(a, b, w))
+    near = np.isfinite(out) & (w < 600.0)
+    if not near.all():
+        out, far = np.asarray(out), ~near
+        a, w = (np.broadcast_to(v, out.shape)[far] for v in (a, w))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out[far] = w + np.log(sc.hyp1f1(b - a, b, -w))
+        out[~np.isfinite(out)] = np.nan
+    return out
 
 
 def _ln_hyp2f1(a, b, c, z) -> np.ndarray:
@@ -597,29 +605,27 @@ class TWDP(_MixtureBaseline):
 
     def _pdf(self, x, tol):
         """One periodic integral over the phase angle a per x, all x on one
-        shared grid. The integrand is e^{-K delta cos a} I_0(2 sqrt(A t))
-        with t = 1 + delta cos a and A = K (1 + K) x / omega_x; its exponent
-        -K (t - 1) + 2 sqrt(A t) is concave in t, so each column is divided
-        by its value at the peak t = A / K^2, clipped to [1 - delta,
-        1 + delta]. Divided, it is at most 1, which bounds the density; the
-        columns where that bound underflows are 0 and are not integrated."""
+        shared grid, of e^{-K t} I_0(2 sqrt(A t)) with t = 1 + delta cos a
+        and A = K (1 + K) x / omega_x. Its exponent -K t + 2 sqrt(A t) is
+        concave in t, so its value at the peak t = A / K^2, clipped to
+        [1 - delta, 1 + delta], bounds the density; the columns where that
+        bound underflows are 0 and are not integrated."""
         K, D, om = self.k_r, self.delta, self.omega_x
         if K == 0:
             return _gamma_pdf(1.0, om, x)
         big_a = K * (1.0 + K) * x / om
         t_peak = np.clip(big_a / (K * K), 1.0 - D, 1.0 + D)
-        ln_peak = -K * (t_peak - 1.0) + 2.0 * np.sqrt(big_a * t_peak)
-        ln_scale = ln_peak - (1.0 + K) * x / om - K
-        keep = ln_scale + math.log((1.0 + K) / om) >= _LN_UNDERFLOW
+        ln_lead = math.log((1.0 + K) / om) - (1.0 + K) * x / om
+        keep = ln_lead - K * t_peak + 2.0 * np.sqrt(big_a * t_peak) >= _LN_UNDERFLOW
 
-        def integrand(alpha: np.ndarray) -> np.ndarray:
+        def ln_integrand(alpha: np.ndarray) -> np.ndarray:
             t = 1.0 + D * np.cos(alpha)[:, None]
             z = 2.0 * np.sqrt(big_a[keep] * t)
-            return np.exp(z - K * (t - 1.0) - ln_peak[keep]) * sc.i0e(z)
+            return z - K * t + np.log(sc.i0e(z))
 
-        val, _ = integrate_finite(integrand, 0.0, 2.0 * math.pi, _phase_tol(tol))
+        ln_val = integrate_finite(ln_integrand, 0.0, 2.0 * math.pi, tol)
         out = np.zeros(x.shape)
-        out[keep] = (1.0 + K) / (2.0 * math.pi * om) * np.exp(ln_scale[keep] + np.log(val))
+        out[keep] = np.exp(ln_lead[keep] + ln_val - math.log(2.0 * math.pi))
         return out
 
     def _gmgf_log(self, p, s, tol):
@@ -634,11 +640,10 @@ class TWDP(_MixtureBaseline):
         den = 1.0 + K - s * om
         c = K * (1.0 + K) / den
 
-        def integrand(alpha: np.ndarray) -> np.ndarray:
+        def ln_integrand(alpha: np.ndarray) -> np.ndarray:
             cos = np.cos(alpha).reshape((-1,) + (1,) * p.ndim)
-            return np.exp(-K * D * cos) * sc.hyp1f1(p + 1.0, 1.0, c * (1.0 + D * cos))
+            return -K * D * cos + _ln_hyp1f1(p + 1.0, 1.0, c * (1.0 + D * cos))
 
-        val, _ = integrate_finite(integrand, 0.0, 2.0 * math.pi, tol)
         return (
             math.log(1.0 + K)
             - K
@@ -646,7 +651,7 @@ class TWDP(_MixtureBaseline):
             - math.log(2.0 * math.pi)
             + p * math.log(om)
             - (p + 1.0) * np.log(den)
-            + np.log(val)
+            + integrate_finite(ln_integrand, 0.0, 2.0 * math.pi, tol)
         )
 
     def _mixture_law(self):
@@ -668,13 +673,6 @@ FadingModel = Union[
 ]
 
 
-def _phase_tol(tol: Tolerance) -> Tolerance:
-    """The quadrature budget for TWDP's positive phase integrals:
-    relative only, as their values can be far below any absolute floor."""
-    return Tolerance(rel_tol=min(tol.rel_tol, 1e-12), abs_tol=0.0,
-                     max_terms=tol.max_terms, max_subdivisions=tol.max_subdivisions)
-
-
 def _twdp_ln_weights(j: np.ndarray, K: float, D: float, tol: Tolerance) -> np.ndarray:
     """ln of the TWDP mixture weights at the indices j, for K > 0 (and
     j = 0 at K = 0, where it is 0), all on one phase grid.
@@ -683,18 +681,15 @@ def _twdp_ln_weights(j: np.ndarray, K: float, D: float, tol: Tolerance) -> np.nd
     terms, so each weight is taken in its positive phase-average form (from
     expanding the Bessel kernel of the integral-form PDF term by term): the
     Poisson probability of j at rate lambda(a) = K (1 + D cos a), averaged
-    over the phase a. Column j is divided by its largest value, which
-    lambda = clip(j, K(1-D), K(1+D)) attains, so it lies in [0, 1].
+    over the phase a.
     """
-    peak = np.clip(j, K * (1.0 - D), K * (1.0 + D))
-    ln_peak = sc.xlogy(j, peak) - peak
 
-    def integrand(alpha: np.ndarray) -> np.ndarray:
+    def ln_integrand(alpha: np.ndarray) -> np.ndarray:
         lam = K * (1.0 + D * np.cos(alpha))[:, None]
-        return np.exp(sc.xlogy(j, lam) - lam - ln_peak)
+        return sc.xlogy(j, lam) - lam
 
-    val, _ = integrate_finite(integrand, 0.0, 2.0 * math.pi, _phase_tol(tol))
-    return ln_peak - sc.gammaln(j + 1.0) + np.log(val / (2.0 * math.pi))
+    return integrate_finite(ln_integrand, 0.0, 2.0 * math.pi, tol) - sc.gammaln(j + 1.0) \
+        - math.log(2.0 * math.pi)
 
 
 def twdp_specular_amplitudes(model: TWDP) -> tuple[float, float, float]:
@@ -732,12 +727,12 @@ def gmgf(model: FadingModel, p: float, s: float, tol: Tolerance = DEFAULT_TOL) -
     except ConvergenceError as exc:
         raise ConvergenceError(f"{model!r}: GMGF at p = {p}, s = {s}: {exc}",
                                exc.estimate, exc.error_bound) from exc
-    if math.isnan(ln_phi):
-        raise ConvergenceError(
-            f"{model!r}: GMGF lost all precision at p = {p}, s = {s} (a hypergeometric "
-            "factor of it left double range)",
-            estimate=math.nan, error_bound=math.inf,
-        )
+    if not ln_phi <= _LN_OVERFLOW:
+        lost = math.isnan(ln_phi)
+        why = ("lost all precision (a hypergeometric factor of it left double range)" if lost
+               else f"is past double range (ln phi = {ln_phi:.12g})")
+        raise ConvergenceError(f"{model!r}: GMGF at p = {p}, s = {s} {why}",
+                               estimate=math.nan if lost else math.inf, error_bound=math.inf)
     return math.exp(ln_phi)
 
 

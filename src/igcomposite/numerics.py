@@ -4,7 +4,8 @@
 
 Everything here is a pure function of its arguments; no global mutable state.
 The library's other special functions come from scipy.special directly.
-Quadrature callbacks must accept numpy arrays (nodes are evaluated in batches).
+Quadrature works in log space: callbacks take numpy arrays of nodes and
+return ln f there, and the rule returns ln of the integral.
 """
 
 from __future__ import annotations
@@ -29,9 +30,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Accuracy budget shared by series and quadrature routines. A
-    quadrature doubles its 16 points at most max_subdivisions times, so it
-    evaluates at most 16 * 2^max_subdivisions nodes (2^21 at 17)."""
+    """Accuracy budget shared by series and quadrature routines. abs_tol
+    applies to series only: a quadrature converges on rel_tol alone. It
+    doubles its 16 points at most max_subdivisions times, so it evaluates
+    at most 16 * 2^max_subdivisions nodes (2^21 at 17)."""
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-14
@@ -63,8 +65,9 @@ class ConvergenceError(ArithmeticError):
     """Raised when a series or quadrature hits its budget before converging.
 
     Carries the best available estimate so callers can decide whether the
-    partial result is still usable. From `sum_series_blocks`, `series` is
-    the index of the series that failed; otherwise it is None.
+    partial result is still usable (from a quadrature: ln of the integral,
+    with the sum's last relative change as `error_bound`). From
+    `sum_series_blocks`, `series` is the index of the failed series, else None.
     """
 
     def __init__(self, message: str, estimate: float, error_bound: float,
@@ -108,49 +111,54 @@ def hyp1f2(a: float, b: float, c: float, z: float, tol: Tolerance = DEFAULT_TOL)
 
 
 def integrate_finite(
-    f: Callable[[np.ndarray], np.ndarray],
+    ln_f: Callable[[np.ndarray], np.ndarray],
     a: float,
     b: float,
     tol: Tolerance = DEFAULT_TOL,
-) -> tuple[float, float]:
-    """Integrate f over [a, b]; returns (value, error estimate).
+) -> np.ndarray:
+    """ln of the integral over [a, b] of f = exp(ln_f), f >= 0.
 
     Equally spaced rule from 16 points, doubled until two successive sums
-    agree: exponentially convergent for smooth f that is periodic or decays
-    double-exponentially at both ends. f takes an ndarray of nodes and may
-    return an (n, ...) array, one integrand per column; the value and error
-    are then arrays, and all columns are refined until all converge. A sum
-    that is not finite raises at once.
+    agree to tol.rel_tol: exponentially convergent for smooth f that is
+    periodic or decays double-exponentially at both ends. ln_f may return
+    an (n, ...) array for n nodes, one integrand per column, each summed
+    in units of its largest f so far (so none overflows) until all agree;
+    a sum still 0 has not converged. NaN or +inf in ln_f raises at once.
     """
-    n = 16
-    h = (b - a) / n
-    total = h * np.asarray(f(a + h * np.arange(n)), dtype=float).sum(axis=0)
-    err = math.inf
-    for _ in range(tol.max_subdivisions):
-        if not np.all(np.isfinite(total)):
-            break
-        mids = a + h * (np.arange(n) + 0.5)
-        new_total = 0.5 * total + 0.5 * h * np.asarray(f(mids), dtype=float).sum(axis=0)
-        err = np.abs(new_total - total)
-        total, n, h = new_total, 2 * n, 0.5 * h
-        if np.all(err <= np.maximum(tol.abs_tol, tol.rel_tol * np.abs(total))):
-            return total, err
-    why = "did not converge" if np.all(np.isfinite(total)) else "sum is not finite"
-    raise ConvergenceError(f"quadrature {why} on {n} points", estimate=total, error_bound=err)
+    n, h = 16, (b - a) / 16
+    nodes = a + h * np.arange(n)
+    # the column maxima of ln f so far start finite: f below e^-1.8e308 is 0
+    top, total = float(np.finfo(float).min), 0.0
+    for level in range(tol.max_subdivisions + 1):
+        if level:
+            nodes = a + h * (np.arange(n) + 0.5)
+            n, h = 2 * n, 0.5 * h
+        g = np.asarray(ln_f(nodes), dtype=float)
+        old, top = top, np.maximum(g.max(axis=0), top)
+        if not (top < math.inf).all():
+            raise ConvergenceError(f"quadrature sum is not finite on {n} points",
+                                   estimate=math.nan, error_bound=math.inf)
+        prev = total * np.exp(old - top) if level else 0.0
+        total = 0.5 * prev + h * np.exp(g - top).sum(axis=0)
+        if level and (abs(total - prev) <= tol.rel_tol * total).all() and total.all():
+            return np.log(total) + top
+    with np.errstate(divide="ignore", invalid="ignore"):
+        raise ConvergenceError(f"quadrature did not converge on {n} points",
+                               estimate=np.log(total) + top, error_bound=abs(total - prev) / total)
 
 
 def integrate_semi_infinite(
-    f: Callable[[np.ndarray], np.ndarray],
+    ln_f: Callable[[np.ndarray], np.ndarray],
     tol: Tolerance = DEFAULT_TOL,
-) -> tuple[float, float]:
-    """Integrate f over [0, inf), f integrable at 0 and decaying
-    exponentially, by `integrate_finite` after the double-exponential map
-    x = exp(t - e^-t) (Takahasi & Mori 1974) over t in [-6.5, ln 1e17],
-    i.e. x in [1e-292, 1e17]; the estimate is the mapped rule's error."""
+) -> np.ndarray:
+    """ln of the integral over [0, inf) of f = exp(ln_f), f integrable at 0
+    and decaying exponentially, by `integrate_finite` after the
+    double-exponential map x = exp(t - e^-t) (Takahasi & Mori 1974) over t
+    in [-6.5, ln 1e17], i.e. x in [1e-292, 1e17]."""
 
     def mapped(t: np.ndarray) -> np.ndarray:
-        x = np.exp(t - np.exp(-t))
-        return np.asarray(f(x), dtype=float) * x * (1.0 + np.exp(-t))
+        e = np.exp(-t)
+        return ln_f(np.exp(t - e)) + t - e + np.log1p(e)  # + ln x + ln(1 + e^-t)
 
     return integrate_finite(mapped, -6.5, math.log(1e17), tol)
 

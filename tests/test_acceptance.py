@@ -272,10 +272,10 @@ def test_criterion_8_special_function_suite():
     assert sc.hyp1f1(2.0, 1.0, 1.0) == pytest.approx(2 * math.e, rel=1e-12)
 
     # quadrature spot identities
-    val, _ = nm.integrate_finite(lambda a: np.exp(np.cos(a)), 0.0, 2 * math.pi)
-    assert val == pytest.approx(2 * math.pi * sc.iv(0, 1.0), rel=1e-10)
-    val, _ = nm.integrate_semi_infinite(lambda x: x**2.5 * np.exp(-2 * x))
-    assert val == pytest.approx(math.gamma(3.5) / 2**3.5, rel=1e-10)
+    val = nm.integrate_finite(np.cos, 0.0, 2 * math.pi)
+    assert math.exp(val) == pytest.approx(2 * math.pi * sc.iv(0, 1.0), rel=1e-10)
+    val = nm.integrate_semi_infinite(lambda x: 2.5 * np.log(x) - 2 * x)
+    assert math.exp(val) == pytest.approx(math.gamma(3.5) / 2**3.5, rel=1e-10)
     elapsed = time.time() - start
     assert elapsed < 30.0, f"criterion 8 took {elapsed:.1f}s"
     print(f"\nACCEPTANCE 8 (special-function suite): PASS ({elapsed:.1f}s)")

@@ -125,6 +125,16 @@ class TestEval:
         assert main(argv + ["--config", RAYLEIGH_CFG]) == 2
         assert "must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["outage", "--grid-db=4000:1:4001"],
+        ["eval", "--quantity", "amp-pdf", "--grid", "1e200:1:1e200"],
+    ], ids=["outage-1e400-ratio", "eval-amplitude-squared-overflows"])
+    def test_grid_leaving_double_range_exits_2(self, argv, capsys):
+        # a finite grid point whose threshold ratio or power overflows to inf
+        # once printed nan and exited 0
+        assert main(argv + ["--config", RAYLEIGH_CFG]) == 2
+        assert "must be finite and > 0" in capsys.readouterr().err
+
     def test_numeric_oracle_strategy_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["eval", "--config", RAYLEIGH_CFG, "--quantity", "cdf",
@@ -388,6 +398,12 @@ class TestGmgf:
         pytest.param('{"type":"rician","k_r":3}', 0.5, -3, 1e-9, id="rician"),
         # both the closed form and the integral underflow to 0
         pytest.param('{"type":"rayleigh"}', 1000, -1000, 0.0, id="both-zero"),
+        # a peak far narrower than the first grids: once a false 0
+        pytest.param('{"type":"nakagami","m_f":500,"omega_x":1e-3}', 2, -1, 1e-9,
+                     id="nakagami-sharp-peak"),
+        # a phase integrand whose linear form overflowed
+        pytest.param('{"type":"twdp","k_r":400,"delta":0.5}', 40, -0.5, 1e-9,
+                     id="twdp-strong-specular"),
     ])
     def test_twdp_check(self, capsys, fading_doc, p, s, bound):
         rc = main(["gmgf", "--fading", fading_doc, "--p", str(p), f"--s={s}", "--check"])
@@ -407,12 +423,23 @@ class TestGmgf:
         assert v1 == v2
 
     def test_quadrature_failure_names_model_and_point(self, capsys):
-        rc = main(["gmgf", "--fading", '{"type":"twdp","k_r":400,"delta":0.5}',
-                   "--p", "40", "--s=-0.5"])
+        # 1F1(1001.5; 1; w) is past double range in either form at every phase
+        rc = main(["gmgf", "--fading", '{"type":"twdp","k_r":1000,"delta":1}',
+                   "--p", "1000.5", "--s=-0.05"])
         assert rc == 3
         err = capsys.readouterr().err
-        assert err.startswith("numeric non-convergence: TWDP(k_r=400.0, delta=0.5, omega_x=1.0): "
-                              "GMGF at p = 40.0, s = -0.5: quadrature sum is not finite")
+        assert err.startswith("numeric non-convergence: TWDP(k_r=1000.0, delta=1.0, omega_x=1.0): "
+                              "GMGF at p = 1000.5, s = -0.05: quadrature sum is not finite")
+
+    def test_value_past_double_range_exits_3(self, capsys):
+        # 170! = 7.3e306 still prints; 200! = 7.9e374 once escaped as an
+        # OverflowError traceback with exit 1
+        assert main(["gmgf", "--fading", '{"type":"rayleigh"}', "--p", "170", "--s=0"]) == 0
+        assert capsys.readouterr().out == "gmgf 7.25741561531e+306\n"
+        assert main(["gmgf", "--fading", '{"type":"rayleigh"}', "--p", "200", "--s=0"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric non-convergence: Rayleigh(omega_x=1.0): GMGF at "
+                              "p = 200.0, s = 0.0 is past double range")
 
     def test_bad_domain_exits_2(self):
         assert main(["gmgf", "--fading", '{"type":"rayleigh"}',

@@ -236,6 +236,18 @@ class TestCompositeCdf:
                                        co.composite_cdf(model, u, S.MIXTURE),
                                        rtol=0.0, atol=1e-11)
 
+    @pytest.mark.parametrize("u", [math.inf, math.nan, [1.0, math.inf]], ids=repr)
+    @pytest.mark.parametrize("strategy", [S.MIXTURE, S.GMGF_GENERAL], ids=lambda s: s.value)
+    def test_non_finite_argument_raises(self, u, strategy):
+        # once a NaN on the mixture route and 1.0 on the series route
+        model = co.CompositeModel(2.5, 1.0, fa.Rician(3.0))
+        for fn in (co.composite_pdf, co.composite_cdf, co.amplitude_pdf, co.amplitude_cdf):
+            with pytest.raises(ValueError, match="must be finite and > 0"):
+                fn(model, u, strategy)
+        # a finite amplitude whose square, the power, overflows
+        with pytest.raises(ValueError, match="must be finite and > 0"):
+            co.amplitude_pdf(model, 1e200, strategy)
+
     def test_monotone(self):
         model = co.CompositeModel(2.2, 1.0, fa.KappaMu(2.0, 1.5))
         us = np.logspace(-2, 1.5, 40)
@@ -323,7 +335,8 @@ class TestOutage:
             assert isinstance(vals, np.ndarray) and vals.shape == th.shape
             np.testing.assert_allclose(vals, [fn(model, t, 1.0) for t in th], rtol=1e-12)
 
-    @pytest.mark.parametrize("th", [[1e-2, 0.0, 0.1], [1e-2, -1.0], [np.nan, 1.0]])
+    @pytest.mark.parametrize("th", [[1e-2, 0.0, 0.1], [1e-2, -1.0], [np.nan, 1.0],
+                                    [1e-2, np.inf]])
     def test_nonpositive_threshold_in_array_raises(self, th):
         model = co.CompositeModel(2.5, 1.0, fa.Rician(3.0))
         for fn in (co.outage, co.outage_asymptotic):
@@ -449,6 +462,15 @@ class TestStrongLineOfSight:
         got = co.composite_cdf(model, 1e-8)
         assert got == pytest.approx(ref, rel=1e-6, abs=0.0)
         assert got == pytest.approx(6.26e-50, rel=1e-3, abs=0.0)
+
+    def test_twdp_general_route_matches_mixture(self):
+        # TWDP's phase integrand summed in log space: its linear form
+        # overflowed here once K (1 + delta) was a few hundred
+        model = co.CompositeModel(2.5, 1.0, fa.TWDP(400.0, 0.5))
+        mixture = co.composite_cdf(model, self.U, S.MIXTURE)
+        np.testing.assert_allclose(co.composite_cdf(model, self.U, S.GMGF_GENERAL), mixture,
+                                   rtol=0.0, atol=1e-9)
+        np.testing.assert_allclose(mixture, [0.358139, 0.698696, 0.904722], rtol=0.0, atol=1e-6)
 
     def test_twdp_without_second_ray_is_rician(self):
         twdp = co.CompositeModel(2.5, 1.0, fa.TWDP(400.0, 0.0))

@@ -114,19 +114,40 @@ class TestGmgf:
                + mpmath.log(mpmath.hyp1f1(p + 1, 1, K * (1 + K) / den)))
         assert fa.gmgf_log(fa.Rician(K), p, s) == pytest.approx(float(ref), rel=1e-12)
 
+    @pytest.mark.parametrize("p", [150.0, 200.0, 400.0])
+    def test_direct_1f1_past_double_range(self, p):
+        # at w = 399.5 < 600, 1F1(p+1; 1; w) overflows while ln phi is
+        # finite: the value passes through Kummer's transformation (NaN once)
+        K, s = 400.0, -0.5
+        den = 1.0 + K - s
+        with mpmath.workdps(30):
+            ref = (mpmath.loggamma(p + 1) + mpmath.log(1 + K) - K - (p + 1) * mpmath.log(den)
+                   + mpmath.log(mpmath.hyp1f1(p + 1, 1, K * (1 + K) / den)))
+        assert fa.gmgf_log(fa.Rician(K), p, s) == pytest.approx(float(ref), rel=1e-12)
+
+    def test_value_past_double_range_raises(self):
+        # 170! = 7.3e306 is a double; 200! = 7.9e374 is not, though its log is
+        assert fa.gmgf(fa.Rayleigh(), 170.0, 0.0) == pytest.approx(float(math.factorial(170)),
+                                                                   rel=1e-12)
+        with pytest.raises(nm.ConvergenceError,
+                           match=r"^Rayleigh\(omega_x=1.0\): GMGF at p = 200.0, s = 0.0 is "
+                                 r"past double range \(ln phi = 863.23"):
+            fa.gmgf(fa.Rayleigh(), 200.0, 0.0)
+
     def test_large_argument_1f1_out_of_range_raises(self):
         # 1F1(1001.5; 1; 1000) is beyond double precision in either form
         with pytest.raises(nm.ConvergenceError):
             fa.gmgf(fa.Rician(1000.0), 1000.5, -0.05)
 
     def test_quadrature_failure_names_model_and_point(self):
-        # TWDP's phase integrand overflows at K = 400, p = 40: the error
-        # says which model and which (p, s), and keeps the estimate
-        model = fa.TWDP(400.0, 0.5)
+        # 1F1(1001.5; 1; w) is past double range in either form at every
+        # phase: the error says which model and which (p, s), and keeps the
+        # estimate
+        model = fa.TWDP(1000.0, 1.0)
         with pytest.raises(nm.ConvergenceError,
-                           match=r"^TWDP\(k_r=400.0, delta=0.5, omega_x=1.0\): GMGF at "
-                                 r"p = 40.0, s = -0.5: quadrature sum is not finite") as exc:
-            fa.gmgf(model, 40.0, -0.5)
+                           match=r"^TWDP\(k_r=1000.0, delta=1.0, omega_x=1.0\): GMGF at "
+                                 r"p = 1000.5, s = -0.05: quadrature sum is not finite") as exc:
+            fa.gmgf(model, 1000.5, -0.05)
         assert isinstance(exc.value.__cause__, nm.ConvergenceError)
         assert exc.value.estimate is exc.value.__cause__.estimate
         assert exc.value.error_bound is exc.value.__cause__.error_bound
@@ -156,6 +177,29 @@ class TestGmgf:
             assert fa.gmgf_log(model, p, s) == pytest.approx(
                 twdp_gmgf_log_mpmath(model, p, s), rel=0.0, abs=1e-11
             )
+
+    def test_twdp_strong_specular_matches_mpmath(self):
+        # the phase integrand's linear form overflowed here
+        model = fa.TWDP(400.0, 0.5)
+        assert fa.gmgf_log(model, 40.0, -0.5) == pytest.approx(
+            twdp_gmgf_log_mpmath(model, 40, -0.5), rel=0.0, abs=1e-12
+        )
+
+    def test_check_integral_has_no_false_zero(self):
+        # the `gmgf --check` integrand of NakagamiM, whose peak is far
+        # narrower than the first grids at large m_f: 71 of these 378
+        # integrals once converged to 0
+        for m_f in (1, 5, 20, 50, 500, 5000):
+            for om in np.logspace(-10, 10, 21):
+                model = fa.NakagamiM(m_f, om)
+                for p, s in ((0.0, 0.0), (2.0, -1.0 / om), (10.0, -5.0 / om)):
+                    def ln_f(x):
+                        with np.errstate(divide="ignore"):
+                            return p * np.log(x) + s * x + np.log(fa.pdf(model, x))
+
+                    assert nm.integrate_semi_infinite(ln_f) == pytest.approx(
+                        fa.gmgf_log(model, p, s), rel=0.0, abs=1e-9
+                    )
 
     def test_twdp_real_p_fallback(self):
         model = fa.TWDP(k_r=4.0, delta=0.9)
@@ -299,6 +343,18 @@ class TestPdf:
     def test_domain(self):
         with pytest.raises(ValueError):
             fa.pdf(fa.Rayleigh(), 0.0)
+
+    def test_quadrature_failure_names_model_and_points(self):
+        # TWDP's phase integral cannot meet 1e-15 on 32 points
+        tol = nm.Tolerance(rel_tol=1e-15, max_subdivisions=1)
+        with pytest.raises(nm.ConvergenceError,
+                           match=r"^TWDP\(k_r=4.0, delta=0.9, omega_x=1.0\): PDF at "
+                                 r"x = \[0.5 1. \]: quadrature did not converge on 32 points") as exc:
+            fa.pdf(fa.TWDP(4.0, 0.9), [0.5, 1.0], tol)
+        assert exc.value.estimate is exc.value.__cause__.estimate
+        assert exc.value.error_bound is exc.value.__cause__.error_bound
+        with pytest.raises(nm.ConvergenceError, match=r"PDF at x = 0.5: "):
+            fa.pdf(fa.TWDP(4.0, 0.9), 0.5, tol)
 
     @pytest.mark.parametrize("model", MODELS, ids=lambda m: type(m).__name__)
     @pytest.mark.parametrize("omega_x", [1.0, 1.3])

@@ -4,10 +4,13 @@ A composite model multiplies a normalized inverse-gamma shadowing variable
 (shape m > 1, unit mean) with a normalized baseline fading power and a mean
 power w_bar. PDF/CDF/outage evaluate through three interchangeable routes:
 
-* the general transform route, which feeds the baseline's generalized MGF
-  into the shadowing average (CDF as an infinite series per point, the
-  series of all points summed side by side);
-* the integer-shape route, where the CDF collapses to an m-term sum;
+* the two transform routes, built from one term of the baseline's
+  generalized MGF, T_q(u) = r^q phi^(q)(-r) / Gamma(q+1) with
+  r = (m-1) w_bar / u: the PDF is (m/u) T_m(u), the general CDF is
+  1 - sum_{n>=0} T_{m+n}(u) (one series per point, those of all points
+  summed side by side) and, for integer m, the CDF is the m-term sum
+  sum_{n<m} T_n(u). A GMGF that lost all precision (NaN) raises
+  ConvergenceError naming the model, m and u;
 * the mixture route, where a gamma-mixture baseline turns the composite
   into a mixture of Fisher-Snedecor F distributions. Its CDF costs one
   regularized incomplete beta per point: the components share that
@@ -36,6 +39,8 @@ from .numerics import (  # noqa: F401
     DEFAULT_TOL,
     ConvergenceError,
     Tolerance,
+    _as_positive,
+    _maybe_scalar,
     integrate_semi_infinite,
     sum_series,
     sum_series_blocks,
@@ -122,17 +127,6 @@ class FMixture(NamedTuple):
     truncation_error_bound: float
 
 
-def _as_positive(u, name: str) -> np.ndarray:
-    arr = np.asarray(u, dtype=float)
-    if not np.all((arr > 0) & (arr < math.inf)):  # NaN fails both
-        raise ValueError(f"{name} must be finite and > 0")
-    return arr
-
-
-def _maybe_scalar(out: np.ndarray, u):
-    return float(out) if np.ndim(u) == 0 else out
-
-
 def f_pdf(params: FDistParams, t):
     """F-distribution PDF; vectorized over t > 0."""
     arr = _as_positive(t, "f_pdf: t")
@@ -193,22 +187,7 @@ def composite_pdf(
     tol: Tolerance = DEFAULT_TOL,
 ):
     """Composite power PDF at u > 0; vectorized over u."""
-    arr = _as_positive(u, "composite_pdf: u")
-    strat = _resolve(model, strategy)
-    if strat is Strategy.MIXTURE:
-        return _maybe_scalar(_f_mixture(model, arr, tol, pdf=True), u)
-    m, wb = model.m, model.w_bar
-    m_eval = float(round(m)) if strat is Strategy.GMGF_INTEGER else m
-    base = m_eval * math.log(wb * (m_eval - 1.0)) - sc.gammaln(m_eval)
-    flat = np.atleast_1d(arr)
-    vals = np.zeros(flat.shape)
-    live = flat >= 1e-300  # below, s would overflow; the density is far below float range
-    x = flat[live]
-    ln_f = base - (m_eval + 1.0) * np.log(x) + fading.gmgf_log(
-        model.baseline, m_eval, (1.0 - m_eval) * wb / x, tol
-    )
-    vals[live] = np.where(ln_f > -745.0, np.exp(ln_f), 0.0)
-    return _maybe_scalar(vals.reshape(arr.shape), u)
+    return _evaluate(model, u, strategy, tol, pdf=True)
 
 
 def composite_cdf(
@@ -218,17 +197,31 @@ def composite_cdf(
     tol: Tolerance = DEFAULT_TOL,
 ):
     """Composite power CDF at u > 0; vectorized over u."""
-    arr = _as_positive(u, "composite_cdf: u")
+    return _evaluate(model, u, strategy, tol, pdf=False)
+
+
+def _evaluate(model: CompositeModel, u, strategy: Strategy, tol: Tolerance, pdf: bool):
+    arr = _as_positive(u, f"composite_{'pdf' if pdf else 'cdf'}: u")
     strat = _resolve(model, strategy)
     if strat is Strategy.MIXTURE:
-        return _maybe_scalar(np.clip(_f_mixture(model, arr, tol, pdf=False), 0.0, 1.0), u)
-    flat = np.atleast_1d(arr)
-    vals = np.zeros(flat.shape)
-    live = flat >= 1e-300  # the CDF is 0 to float precision below
-    route = _cdf_integer if strat is Strategy.GMGF_INTEGER else _cdf_series
-    if live.any():
-        vals[live] = route(model, flat[live], tol)
-    return _maybe_scalar(np.clip(vals.reshape(arr.shape), 0.0, 1.0), u)
+        out = _f_mixture(model, arr, tol, pdf)
+    else:
+        m = float(round(model.m)) if strat is Strategy.GMGF_INTEGER else model.m
+        route = _pdf_transform if pdf else (
+            _cdf_integer if strat is Strategy.GMGF_INTEGER else _cdf_series)
+        out = np.zeros(arr.shape)
+        # below, r nears overflow and both routes give 0: the CDF's value to
+        # float precision, but not that of a PDF finite at 0 (Rayleigh's)
+        live = arr >= 1e-300
+        if live.any():
+            out[live] = route(model, m, arr[live], tol)
+        lost = np.isnan(out)
+        if lost.any():
+            raise ConvergenceError(
+                f"{model.baseline}, m = {m:g}, u = {arr[lost][0]:.6g}: the GMGF lost all "
+                f"precision (a transform term is NaN)",
+                math.nan, math.inf)
+    return _maybe_scalar(out if pdf else np.clip(out, 0.0, 1.0), u)
 
 
 # The F sum's two ways through the components, by point count (they cross
@@ -296,29 +289,42 @@ def _f_mixture(model: CompositeModel, t: np.ndarray, tol: Tolerance, pdf: bool) 
     return (cum[-1] * sc.betainc(mix.shape + coef.size, m, x) + total).reshape(t.shape)
 
 
-def _cdf_series(model: CompositeModel, u: np.ndarray, tol: Tolerance) -> np.ndarray:
-    # F(u) = 1 - sum_n [(m-1) w_bar / u]^(m+n) / Gamma(m+n+1) * phi^(m+n)(s).
-    # Terms are positive and single-peaked in n (each model's GMGF decays
-    # like (c - s)^-(q+1), making the term ratio |s|/(c+|s|) * (1+o(1)) < 1
-    # past the peak), so the 3-quiet-terms stop rule cannot fire early.
-    m, wb = model.m, model.w_bar
-    s = (1.0 - m) * wb / u
-    ln_r = np.log((m - 1.0) * wb / u)
+def _ln_term(model: CompositeModel, m: float, q, u, tol: Tolerance):
+    """ln T_q(u), T_q(u) = r^q phi^(q)(-r) / Gamma(q+1) with r = (m-1) w_bar / u:
+    the one term every transform route is built from. q and u broadcast."""
+    r = (m - 1.0) * model.w_bar / u
+    return q * np.log(r) - sc.gammaln(q + 1.0) + fading.gmgf_log(model.baseline, q, -r, tol)
 
-    def terms(ns: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        q = m + ns
-        ln_t = q * ln_r[idx, None] - sc.gammaln(q + 1.0) \
-            + fading.gmgf_log(model.baseline, q, s[idx, None], tol)
-        return np.where(ln_t < -745.0, 0.0, np.exp(ln_t))  # NaN stays NaN
+
+def _pdf_transform(model: CompositeModel, m: float, u: np.ndarray, tol: Tolerance) -> np.ndarray:
+    # f(u) = (m/u) T_m(u), in log space: T_m can be subnormal where m/u is large
+    return np.exp(math.log(m) - np.log(u) + _ln_term(model, m, m, u, tol))
+
+
+def _cdf_integer(model: CompositeModel, m: float, u: np.ndarray, tol: Tolerance) -> np.ndarray:
+    # F(u) = sum_{n<m} T_n(u), one GMGF call per order: one call over all
+    # orders would multiply TWDP's (nodes x columns) phase array by m
+    return sum(np.exp(_ln_term(model, m, float(n), u, tol)) for n in range(int(m)))
+
+
+def _cdf_series(model: CompositeModel, m: float, u: np.ndarray, tol: Tolerance) -> np.ndarray:
+    # F(u) = 1 - sum_{n>=0} T_{m+n}(u). The terms are positive and
+    # single-peaked in n, but the 3-quiet-terms stop rule can still fire
+    # early: at small u every term before the peak may lie below abs_tol,
+    # and the rule then stops at once (NakagamiM(8), m = 2.5, u = 1e-3 gives
+    # 1 - 4e-16 for 1.3e-17; ROADMAP item 2(b))
 
     def summed(points: np.ndarray) -> np.ndarray:
         try:
-            return sum_series_blocks(lambda ns, idx: terms(ns, points[idx]), tol, points.size)[0]
+            return sum_series_blocks(
+                lambda ns, idx: np.exp(_ln_term(model, m, m + ns, u[points[idx], None], tol)),
+                tol, points.size)[0]
         except ConvergenceError as exc:
-            # a failing GMGF quadrature inside `terms` names no series
-            at = "" if exc.series is None else f", u = {u[points[exc.series]]:.6g}"
-            raise ConvergenceError(f"{model.baseline}, m = {m:g}{at}: {exc}",
-                                   exc.estimate, exc.error_bound) from exc
+            if exc.series is None:  # a failing GMGF quadrature names no series
+                raise ConvergenceError(f"{model.baseline}, m = {m:g}: {exc}",
+                                       math.nan, math.inf) from exc
+            raise ConvergenceError(f"{model.baseline}, m = {m:g}, u = {u[points[exc.series]]:.6g}: "
+                                   f"{exc}", 1.0 - exc.estimate, exc.error_bound) from exc
 
     # the smallest u needs the most terms: sum its series first, so one
     # that cannot converge raises before the others are summed
@@ -328,20 +334,6 @@ def _cdf_series(model: CompositeModel, u: np.ndarray, tol: Tolerance) -> np.ndar
     total[[head]] = summed(np.array([head]))
     total[rest] = summed(rest)
     return 1.0 - total
-
-
-def _cdf_integer(model: CompositeModel, u: np.ndarray, tol: Tolerance) -> np.ndarray:
-    m_int = round(model.m)
-    wb = model.w_bar
-    s = (1.0 - m_int) * wb / u
-    ln_r = np.log((m_int - 1.0) * wb / u)
-    total = np.zeros(u.shape)
-    for n in range(m_int):
-        ln_t = n * ln_r - sc.gammaln(n + 1.0) + fading.gmgf_log(
-            model.baseline, float(n), s, tol
-        )
-        total += np.where(ln_t > -745.0, np.exp(ln_t), 0.0)
-    return total
 
 
 def amplitude_pdf(model, r, strategy=Strategy.AUTO, tol=DEFAULT_TOL):

@@ -29,6 +29,8 @@ from .numerics import (  # noqa: F401
     DEFAULT_TOL,
     ConvergenceError,
     Tolerance,
+    _as_positive,
+    _maybe_scalar,
     hyp1f2,
     integrate_finite,
 )
@@ -107,15 +109,14 @@ class _Baseline:
 
     def pdf(self, x, tol: Tolerance = DEFAULT_TOL):
         """Power PDF at x > 0; vectorized."""
-        arr = np.asarray(x, dtype=float)
-        if np.any(arr <= 0):
-            raise ValueError("fading.pdf: support is x > 0")
+        arr = _as_positive(x, "fading.pdf: x")
         try:
             out = self._pdf(arr, tol)
         except ConvergenceError as exc:
+            # the inner estimate is ln of a phase integral, not the PDF
             raise ConvergenceError(f"{self!r}: PDF at x = {arr}: {exc}",
-                                   exc.estimate, exc.error_bound) from exc
-        return float(out) if np.ndim(x) == 0 else out
+                                   math.nan, math.inf) from exc
+        return _maybe_scalar(out, x)
 
     def gmgf_log(self, p, s, tol: Tolerance = DEFAULT_TOL):
         """ln phi^(p)(s) for p >= 0, s <= 0; vectorized over p and s, which
@@ -725,8 +726,9 @@ def gmgf(model: FadingModel, p: float, s: float, tol: Tolerance = DEFAULT_TOL) -
     try:
         ln_phi = gmgf_log(model, p, s, tol)
     except ConvergenceError as exc:
+        # the inner estimate is ln of a phase integral, not phi
         raise ConvergenceError(f"{model!r}: GMGF at p = {p}, s = {s}: {exc}",
-                               exc.estimate, exc.error_bound) from exc
+                               math.nan, math.inf) from exc
     if not ln_phi <= _LN_OVERFLOW:
         lost = math.isnan(ln_phi)
         why = ("lost all precision (a hypergeometric factor of it left double range)" if lost

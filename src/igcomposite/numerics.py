@@ -78,6 +78,19 @@ class ConvergenceError(ArithmeticError):
         self.series = series
 
 
+def _as_positive(x, name: str) -> np.ndarray:
+    """x as a float array, or ValueError unless every element is finite and > 0."""
+    arr = np.asarray(x, dtype=float)
+    if not np.all((arr > 0) & (arr < math.inf)):  # NaN fails both
+        raise ValueError(f"{name} must be finite and > 0")
+    return arr
+
+
+def _maybe_scalar(out: np.ndarray, x):
+    """out as a float when the argument x was a scalar."""
+    return float(out) if np.ndim(x) == 0 else out
+
+
 def _check_not_nonpositive_int(value: float, name: str, func: str) -> None:
     if value <= 0 and value == round(value):
         raise ValueError(f"{func}: parameter {name}={value} is a pole")

@@ -13,6 +13,8 @@ from typing import Union
 import numpy as np
 import scipy.special as sc
 
+from .numerics import _as_positive, _maybe_scalar
+
 __all__ = [
     "Lognormal",
     "GammaShadowing",
@@ -35,23 +37,12 @@ class _Shadowing:
 
     def cdf(self, y):
         """Model CDF at y > 0; vectorized over y."""
-        out = self._cdf(_as_positive(y, "shadowing.cdf"))
+        out = self._cdf(_as_positive(y, "shadowing.cdf: y"))
         return _maybe_scalar(np.clip(out, 0.0, 1.0), y)
 
     def pdf(self, y):
         """Model PDF at y > 0; vectorized over y."""
-        return _maybe_scalar(self._pdf(_as_positive(y, "shadowing.pdf")), y)
-
-
-def _as_positive(y, name: str):
-    arr = np.asarray(y, dtype=float)
-    if np.any(arr <= 0):
-        raise ValueError(f"{name}: support is y > 0")
-    return arr
-
-
-def _maybe_scalar(out: np.ndarray, y) -> "float | np.ndarray":
-    return float(out) if np.isscalar(y) or np.ndim(y) == 0 else out
+        return _maybe_scalar(self._pdf(_as_positive(y, "shadowing.pdf: y")), y)
 
 
 @dataclass(frozen=True)

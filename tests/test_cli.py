@@ -135,6 +135,15 @@ class TestEval:
         assert main(argv + ["--config", RAYLEIGH_CFG]) == 2
         assert "must be finite and > 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("quantity", ["pdf", "cdf"])
+    @pytest.mark.parametrize("u", ["700", "1000"])
+    def test_lost_gmgf_exits_3(self, quantity, u, capsys):
+        # the PDF printed 0 and the CDF summed NaN terms as zeros, exit 0
+        cfg = '{"shadowing":{"m":2001},"fading":{"type":"hoyt","q":0.5}}'
+        assert main(["eval", "--config", cfg, "--quantity", quantity,
+                     "--grid", f"{u}:1:{u}"]) == 3
+        assert f"m = 2001, u = {u}: the GMGF lost all precision" in capsys.readouterr().err
+
     def test_numeric_oracle_strategy_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["eval", "--config", RAYLEIGH_CFG, "--quantity", "cdf",

@@ -570,7 +570,69 @@ class TestTransformRoutesOverArrays:
         with pytest.raises(nm.ConvergenceError,
                            match=r"^Rician\(k_r=3.0.*\), m = 2.5: periodic rule") as exc:
             co.composite_cdf(model, np.array([0.5, 1.0]), S.GMGF_GENERAL)
-        assert (exc.value.estimate, exc.value.error_bound) == (0.5, 1e-3)
+        # the GMGF's estimate is no CDF: it stays on __cause__ only
+        assert math.isnan(exc.value.estimate) and exc.value.error_bound == math.inf
+        assert (exc.value.__cause__.estimate, exc.value.__cause__.error_bound) == (0.5, 1e-3)
+
+    def test_series_failure_carries_the_cdf_estimate(self):
+        # cut at 5 terms the partial sum is 0.159: the error carries 1 - 0.159
+        model = co.CompositeModel(2.5, 1.0, fa.Hoyt(0.5))
+        with pytest.raises(nm.ConvergenceError, match=r"u = 0.05: series did not converge") as exc:
+            co.composite_cdf(model, 0.05, tol=nm.Tolerance(max_terms=5))
+        inner = exc.value.__cause__
+        assert exc.value.estimate == 1.0 - inner.estimate
+        assert exc.value.error_bound == inner.error_bound
+
+    @pytest.mark.parametrize("quantity, strategy, m", [
+        (co.composite_pdf, S.GMGF_GENERAL, 2.5),
+        (co.composite_pdf, S.GMGF_INTEGER, 3.0),
+        (co.composite_cdf, S.GMGF_INTEGER, 3.0),
+    ], ids=["pdf-general", "pdf-integer", "cdf-integer"])
+    def test_nan_gmgf_names_the_model_and_point(self, monkeypatch, quantity, strategy, m):
+        # a NaN GMGF at u = 0.1 only was a PDF or CDF term of 0
+        model = co.CompositeModel(m, 1.0, fa.Rician(3.0))
+        u = np.array([0.05, 2.0, 0.1])
+        s_bad = (1.0 - m) * model.w_bar / u[2]
+        gmgf_log = fa.gmgf_log
+        monkeypatch.setattr(fa, "gmgf_log", lambda b, q, s, tol: np.where(
+            s == s_bad, np.nan, gmgf_log(b, q, s, tol)))
+        with pytest.raises(nm.ConvergenceError,
+                           match=rf"^Rician\(k_r=3.0.*\), m = {m:g}, u = 0.1: the GMGF lost all "
+                                 r"precision") as exc:
+            quantity(model, u, strategy)
+        assert math.isnan(exc.value.estimate) and exc.value.error_bound == math.inf
+
+    @pytest.mark.parametrize("u", [700.0, 1000.0])
+    @pytest.mark.parametrize("quantity", [co.composite_pdf, co.composite_cdf],
+                             ids=["pdf", "cdf"])
+    def test_lost_gmgf_at_large_m_raises(self, quantity, u):
+        # Hoyt's GMGF is NaN at these orders and arguments. The PDF read 0
+        # (it is 2.1446e-174 at u = 700); the CDF summed 353 NaN terms of
+        # 2001 as zeros
+        model = co.CompositeModel(2001.0, 1.0, fa.Hoyt(0.5))
+        with pytest.raises(nm.ConvergenceError,
+                           match=rf"^Hoyt\(q=0.5, omega_x=1.0\), m = 2001, u = {u:g}: "
+                                 r"the GMGF lost all precision"):
+            quantity(model, u)
+
+    def test_large_m_pdf_where_the_gmgf_holds(self):
+        # mpmath, by quadrature centred on the integrand's peak
+        model = co.CompositeModel(2001.0, 1.0, fa.Hoyt(0.5))
+        assert co.composite_pdf(model, 500.0) == pytest.approx(1.46048056438e-128, rel=1e-9)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2(b): every term before the series' "
+                                           "peak is below abs_tol, so the 3-quiet-terms rule "
+                                           "stops at once")
+    def test_series_stop_rule_waits_for_the_peak(self):
+        # NakagamiM's composite is exactly the F law; the series gives
+        # 1 - 4e-16 for 1.3e-17. Raising would also be right
+        model = co.CompositeModel(2.5, 1.0, fa.NakagamiM(8.0))
+        exact = co.f_cdf(co.FDistParams(2.5, 8.0, 1.0), 1e-3)
+        try:
+            got = co.composite_cdf(model, 1e-3, S.GMGF_GENERAL)
+        except nm.ConvergenceError:
+            return
+        assert got == pytest.approx(exact, rel=1e-6)
 
     def test_lost_precision_raises(self):
         # at m = 40.5 and u = 1e-4 the Hoyt terms stay flat until the GMGF

@@ -141,16 +141,15 @@ class TestGmgf:
 
     def test_quadrature_failure_names_model_and_point(self):
         # 1F1(1001.5; 1; w) is past double range in either form at every
-        # phase: the error says which model and which (p, s), and keeps the
-        # estimate
+        # phase: the error says which model and which (p, s); the inner
+        # estimate, ln of a phase integral, is not phi and stays on __cause__
         model = fa.TWDP(1000.0, 1.0)
         with pytest.raises(nm.ConvergenceError,
                            match=r"^TWDP\(k_r=1000.0, delta=1.0, omega_x=1.0\): GMGF at "
                                  r"p = 1000.5, s = -0.05: quadrature sum is not finite") as exc:
             fa.gmgf(model, 1000.5, -0.05)
         assert isinstance(exc.value.__cause__, nm.ConvergenceError)
-        assert exc.value.estimate is exc.value.__cause__.estimate
-        assert exc.value.error_bound is exc.value.__cause__.error_bound
+        assert math.isnan(exc.value.estimate) and exc.value.error_bound == math.inf
 
     def test_twdp_closed_form_vs_quadrature(self):
         model = fa.TWDP(k_r=4.0, delta=0.9)
@@ -344,15 +343,25 @@ class TestPdf:
         with pytest.raises(ValueError):
             fa.pdf(fa.Rayleigh(), 0.0)
 
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: type(m).__name__)
+    @pytest.mark.parametrize("x", [math.nan, math.inf, [0.5, math.nan]], ids=repr)
+    def test_non_finite_argument_raises(self, model, x):
+        # NaN once passed through as a NaN PDF; TWDP at inf warned and gave 0
+        with pytest.raises(ValueError, match="must be finite and > 0"):
+            fa.pdf(model, x)
+
     def test_quadrature_failure_names_model_and_points(self):
-        # TWDP's phase integral cannot meet 1e-15 on 32 points
+        # TWDP's phase integral cannot meet 1e-15 on 32 points. The inner
+        # estimate is ln of the phase integrals, [2.16, 4.40] here, not the
+        # PDF [0.569, 0.438]: the error carries NaN and the inner one stays
+        # on __cause__
         tol = nm.Tolerance(rel_tol=1e-15, max_subdivisions=1)
         with pytest.raises(nm.ConvergenceError,
                            match=r"^TWDP\(k_r=4.0, delta=0.9, omega_x=1.0\): PDF at "
                                  r"x = \[0.5 1. \]: quadrature did not converge on 32 points") as exc:
             fa.pdf(fa.TWDP(4.0, 0.9), [0.5, 1.0], tol)
-        assert exc.value.estimate is exc.value.__cause__.estimate
-        assert exc.value.error_bound is exc.value.__cause__.error_bound
+        assert isinstance(exc.value.__cause__, nm.ConvergenceError)
+        assert math.isnan(exc.value.estimate) and exc.value.error_bound == math.inf
         with pytest.raises(nm.ConvergenceError, match=r"PDF at x = 0.5: "):
             fa.pdf(fa.TWDP(4.0, 0.9), 0.5, tol)
 

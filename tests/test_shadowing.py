@@ -51,6 +51,14 @@ class TestCdf:
         with pytest.raises(ValueError):
             sh.cdf(model, -1.0)
 
+    @pytest.mark.parametrize("y", [math.nan, math.inf, [1.0, math.nan]], ids=repr)
+    @pytest.mark.parametrize("model", ALL_MODELS)
+    def test_non_finite_argument_raises(self, model, y):
+        # NaN once passed through as a NaN CDF and PDF
+        for fn in (sh.cdf, sh.pdf):
+            with pytest.raises(ValueError, match="must be finite and > 0"):
+                fn(model, y)
+
     @pytest.mark.parametrize("model", ALL_MODELS)
     def test_limits(self, model):
         assert sh.cdf(model, 1e-12) <= 1e-10

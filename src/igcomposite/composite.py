@@ -254,9 +254,11 @@ def _f_mixture(model: CompositeModel, t: np.ndarray, tol: Tolerance, pdf: bool) 
     a = mix.shape + np.arange(mix.weights.size)
     c = (m - 1.0) * mix.scale * model.w_bar
     x = (t / (t + c)).ravel()
-    ln_den = np.log(t + c)
-    ln_x = (np.log(t) - ln_den).ravel()
-    m_ln_1mx = (m * (math.log(c) - ln_den)).ravel()
+    ln_t, ln_den = np.log(t), np.log(t + c)
+    ln_x = (ln_t - ln_den).ravel()
+    # the part of ln r_i every row shares; the PDF's rows r_i / t take their
+    # 1/t here, so an x^a_i that underflows alone does not take the PDF with it
+    ln_common = (m * (math.log(c) - ln_den) - (ln_t if pdf else 0.0)).ravel()
     cum = np.cumsum(mix.weights)
     coef = mix.weights if pdf else cum[:-1] / a[:-1]
     a = a[:coef.size]
@@ -266,26 +268,29 @@ def _f_mixture(model: CompositeModel, t: np.ndarray, tol: Tolerance, pdf: bool) 
         step = _F_BLOCK // points
         for lo in range(0, coef.size, step):
             block = np.multiply.outer(a[lo:lo + step], ln_x)
-            block += m_ln_1mx
+            block += ln_common
             block -= ln_beta[lo:lo + step, None]
             total += coef[lo:lo + step] @ np.exp(block, out=block)
     else:
-        # r_(i+1) = r_i x (a_i + m) / a_i. A row that underflowed is carried
-        # on as 0 until the next restart; what it would have grown to in
+        # r_(i+1) = r_i x B(a_i, m) / B(a_i + 1, m), the ratio (a_i + m) / a_i
+        # taken from the betaln values the blocks use, so that both carry the
+        # same rounding of ln B. A row that underflowed is carried on as 0
+        # until the next restart; what it would have grown to in
         # _F_RESTART - 1 steps lies far below 1e-280
+        beta_ratio = np.exp(ln_beta[:-1] - ln_beta[1:])
         row, scaled = np.empty(t.size), np.empty(t.size)
         for i in range(coef.size):
             if i % _F_RESTART:
                 row *= x
-                row *= (a[i - 1] + m) / a[i - 1]
+                row *= beta_ratio[i - 1]
             else:
                 np.multiply(ln_x, a[i], out=row)
-                row += m_ln_1mx
+                row += ln_common
                 row -= ln_beta[i]
                 np.exp(row, out=row)
             total += np.multiply(row, coef[i], out=scaled)
     if pdf:
-        return total.reshape(t.shape) / t
+        return total.reshape(t.shape)
     return (cum[-1] * sc.betainc(mix.shape + coef.size, m, x) + total).reshape(t.shape)
 
 

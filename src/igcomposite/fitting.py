@@ -5,7 +5,8 @@ exploiting the step structure of Fhat: fixed Gauss-Legendre panels on each
 step interval plus head/tail panels where Fhat is 0 and its final level.
 As the squared norm of the residuals sqrt(w) (Fhat - F) at those nodes, it
 is minimized in log coordinates by a small box-projected Levenberg-Marquardt,
-one solve per point of a deterministic multistart lattice.
+one solve per point of a deterministic multistart lattice; a solve stops once
+it enters the basin of a minimum an earlier one converged to.
 
 Every family has a coordinate direction that only rescales the law (Y -> Y e^d),
 and along it dF/dd = -y f(y) exactly, so one Jacobian column comes from the
@@ -179,10 +180,14 @@ def _start_invgauss(m1, v):
     return (math.log(mu0), math.log(lam0))
 
 
+def _omega_start(m1, m):
+    """The inverse-gamma mean at shape m that matches the log-mean m1."""
+    return min(max(math.exp(m1 + sc.digamma(m)) / (m - 1.0 + 1e-12), 2e-6), 5e5)
+
+
 def _start_invgamma(m1, v):
     m0 = min(max(1.0 / v, 1.01), 9e3)
-    om0 = min(max(math.exp(m1 + sc.digamma(m0)) / (m0 - 1.0 + 1e-12), 2e-6), 5e5)
-    return (math.log(m0 - 1.0), math.log(om0))
+    return (math.log(m0 - 1.0), math.log(_omega_start(m1, m0)))
 
 
 FAMILIES: dict[str, _Family] = {
@@ -236,17 +241,24 @@ def _log_moments(ecdf: EmpiricalCdf) -> tuple[float, float]:
 _FTOL = _XTOL = _GTOL = 1e-8
 _NFEV_PER_COORD = 100
 _FD_STEP = math.sqrt(np.finfo(float).eps)
+# A start whose iterate comes this close, in every coordinate, to a minimum an
+# earlier start converged to is in that minimum's basin. Lattice points are 1.5
+# apart, so the box around a minimum holds no other start; a converged solve
+# sits within xtol = 1e-8 (relative) of its minimum, so a start headed there
+# enters the box well before it converges.
+_BASIN_RADIUS = 0.05
 
 
-def _levenberg_marquardt(residuals, jacobian, x0, lo, hi):
+def _levenberg_marquardt(residuals, jacobian, x0, lo, hi, stop=lambda x, cost: False):
     """Minimize |r(x)|^2 / 2 over the box [lo, hi], starting at x0.
 
     Marquardt-damped Gauss-Newton steps on the coordinates the gradient does
     not hold at a bound, clipped to the box. Stops as least_squares does: a
     reduction below ftol of the cost (at a gain ratio above 1/4), a step
-    below xtol of |x|, or a free gradient below gtol. Returns (x, cost,
-    Jacobian evaluations, whether a stop rule was met within 100 residual
-    evaluations per coordinate).
+    below xtol of |x|, or a free gradient below gtol. `stop(x, cost)` is asked
+    after each accepted step; a true answer ends the solve unconverged.
+    Returns (x, cost, Jacobian evaluations, whether a stop rule was met within
+    100 residual evaluations per coordinate).
     """
     x = np.array(x0, dtype=float)
     r = residuals(x)
@@ -286,6 +298,8 @@ def _levenberg_marquardt(residuals, jacobian, x0, lo, hi):
         if done:
             return x, cost, njev, True
         if fresh:
+            if stop(x, cost):
+                return x, cost, njev, False
             J, njev = jacobian(x, r), njev + 1
 
 
@@ -325,24 +339,37 @@ def _objective(quad: _CvmQuadrature, make: Callable, bounds, scale):
 
 def _solve(tag: str, quad: _CvmQuadrature, make: Callable, bounds, scale, starts) -> FitResult:
     """Best least-squares CvM minimum over the starts, in coordinates mapped
-    to a model by `make`."""
+    to a model by `make`.
+
+    A start stops once it enters the basin of a minimum an earlier start
+    converged to, at a cost no lower than that minimum's: it can only find
+    that minimum again (clustering multistart, Rinnooy Kan & Timmer 1987).
+    """
     residuals, jacobian = _objective(quad, make, bounds, scale)
     lo, hi = np.transpose(bounds)
+    minima = []  # (x, cost) of each start that converged
+
+    def known_basin(x, cost):
+        return any(cost >= c and np.all(np.abs(x - m) < _BASIN_RADIUS) for m, c in minima)
+
     best = None
     iterations = 0
     for x0 in starts:
-        x, cost, njev, converged = _levenberg_marquardt(residuals, jacobian, x0, lo, hi)
+        x, cost, njev, converged = _levenberg_marquardt(
+            residuals, jacobian, x0, lo, hi, known_basin)
         iterations += njev
+        if converged:
+            minima.append((x, cost))
         if best is None or cost < best[1]:
             best = (x, cost, converged)
     x, cost, converged = best
     return FitResult(tag, make(x), 2.0 * cost, iterations, converged)
 
 
-def _restrict_to_integer_m(quad: _CvmQuadrature, real: FitResult) -> FitResult:
+def _restrict_to_integer_m(quad: _CvmQuadrature, real: FitResult, m1: float) -> FitResult:
     """Best integer shape near the unconstrained inverse-gamma fit `real`:
-    for each candidate m, one ln(omega) solve started at its omega."""
-    start = [(math.log(real.params.omega_i),)]
+    for each candidate m, a ln(omega) solve started at its omega and one
+    started at the omega that matches the data's log-mean m1 at shape m."""
     best, iterations = None, real.iterations
     for m in sorted({max(2, round(real.params.m) + d) for d in (-2, -1, 0, 1, 2)}):
         res = _solve(
@@ -351,12 +378,15 @@ def _restrict_to_integer_m(quad: _CvmQuadrature, real: FitResult) -> FitResult:
             lambda c, m=float(m): shadowing.InverseGamma(m=m, omega_i=math.exp(c[0])),
             ((_LN_MEAN_LO, _LN_MEAN_HI),),
             (1.0,),
-            start,
+            [(math.log(real.params.omega_i),), (math.log(_omega_start(m1, m)),)],
         )
         iterations += res.iterations
         if best is None or res.cvm < best.cvm:
             best = res
     return replace(best, iterations=iterations)
+
+
+_INTEGER_M_ONLY = "fit: integer_m applies to the inverse_gamma family only"
 
 
 def fit(
@@ -375,7 +405,7 @@ def fit(
     if family not in FAMILIES:
         raise ValueError(f"fit: unknown family {family!r}; choose from {sorted(FAMILIES)}")
     if integer_m and family != "inverse_gamma":
-        raise ValueError("fit: integer_m applies to the inverse_gamma family only")
+        raise ValueError(_INTEGER_M_ONLY)
     if ecdf.t.size < 2:
         raise ValueError("fit: degenerate data (fewer than two distinct abscissae)")
     if not 1 <= multistart <= len(_LATTICE):
@@ -385,9 +415,10 @@ def fit(
     fam = FAMILIES[family]
     quad = _CvmQuadrature(ecdf, support_pad)
     lo, hi = np.transpose(fam.bounds)
-    starts = np.clip(np.add(fam.start(*_log_moments(ecdf)), _LATTICE[:multistart]), lo, hi)
+    m1, v = _log_moments(ecdf)
+    starts = np.clip(np.add(fam.start(m1, v), _LATTICE[:multistart]), lo, hi)
     real = _solve(family, quad, fam.make, fam.bounds, fam.scale, starts)
-    return _restrict_to_integer_m(quad, real) if integer_m else real
+    return _restrict_to_integer_m(quad, real, m1) if integer_m else real
 
 
 def compare_families(
@@ -406,6 +437,8 @@ def compare_families(
     """
     if not families:
         raise ValueError("compare_families: no families requested")
+    if integer_m and "inverse_gamma" not in families:
+        raise ValueError(_INTEGER_M_ONLY)
     if not (1 <= multistart <= len(_LATTICE) and 0 <= support_pad < math.inf):
         raise ValueError(f"compare_families: need multistart 1 to {len(_LATTICE)} (the "
                          f"{len(_LATTICE)}-point start lattice) and a finite support_pad >= 0, "
@@ -418,10 +451,12 @@ def compare_families(
         except Exception as exc:  # aggregate and keep going
             failures.append(f"{family}: {exc}")
     real = next((r for r in results if r.family == "inverse_gamma"), None)
-    if integer_m and real is not None:
+    if integer_m and real is None:
+        failures.append("inverse_gamma_integer: the inverse_gamma fit it restricts failed")
+    elif integer_m:
         try:
             quad = _CvmQuadrature(ecdf, support_pad)
-            results.append(_restrict_to_integer_m(quad, real))
+            results.append(_restrict_to_integer_m(quad, real, _log_moments(ecdf)[0]))
         except Exception as exc:
             failures.append(f"inverse_gamma_integer: {exc}")
     if not results:

@@ -176,6 +176,19 @@ def integrate_semi_infinite(
     return integrate_finite(mapped, -6.5, math.log(1e17), tol)
 
 
+def _tail_bound(last3) -> float:
+    """A bound on what a series leaves out past its last three summed terms:
+    last rho / (1 - rho), rho the last term ratio, when rho < 1 and, to
+    rounding, no larger than the ratio before it (terms that keep falling at
+    least geometrically); inf otherwise, as before a series' peak."""
+    a, b, c = np.abs(last3)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho, rho_prev = c / b, b / a
+    if rho < 1 and rho <= rho_prev * (1 + 1e-12):
+        return float(c * rho / (1 - rho))
+    return math.inf
+
+
 def sum_series(
     term: Callable[[int], float],
     tol: Tolerance = DEFAULT_TOL,
@@ -188,8 +201,10 @@ def sum_series(
     total = 0.0
     comp = 0.0
     quiet = 0
+    last3 = (math.nan,) * 3
     for k in range(tol.max_terms):
         t_k = term(k)
+        last3 = (*last3[1:], t_k)
         y = t_k - comp
         t = total + y
         comp = (t - total) - y
@@ -203,7 +218,7 @@ def sum_series(
     raise ConvergenceError(
         f"series did not converge in {tol.max_terms} terms",
         estimate=total,
-        error_bound=abs(t_k) * 3,
+        error_bound=_tail_bound(last3),
     )
 
 
@@ -226,7 +241,7 @@ def sum_series_blocks(
     total = np.zeros(count)
     comp = np.zeros(count)
     quiet = np.zeros(count, dtype=int)
-    prev = np.zeros(count)
+    last3 = np.full((count, 3), math.nan)  # each series' last three terms
     idx = np.arange(count)
     k0 = longest = 0
     need = 1
@@ -260,20 +275,19 @@ def sum_series_blocks(
         if done.any():
             longest = max(longest, k0 + int(last[done].max()) + 1)
         idx, t = idx[~done], t[~done]
+        last3[idx] = np.concatenate((last3[idx], t), axis=1)[:, -3:]
         k0 += width
         if idx.size and k0 >= tol.max_terms:
             raise ConvergenceError(
                 f"series did not converge in {tol.max_terms} terms",
                 estimate=float(total[idx[0]]),
-                error_bound=abs(float(t[0, -1])) * 3,
+                error_bound=_tail_bound(last3[idx[0]]),
                 series=int(idx[0]),
             )
-        t_prev = t[:, -2] if width > 1 else prev[idx]
-        prev[idx] = t[:, -1]
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = t[:, -1] / t_prev
+            ratio = last3[idx, 2] / last3[idx, 1]
             steps = np.log((tol.rel_tol * np.abs(total[idx]) + tol.abs_tol)
-                           / np.abs(t[:, -1])) / np.log(ratio)
+                           / np.abs(last3[idx, 2])) / np.log(ratio)
         falling = (ratio > 0) & (ratio < 1)
         # just past its peak a series' term ratio is near 1 and still
         # dropping, so its stop is nearer than predicted: aim half way

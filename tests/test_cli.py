@@ -343,6 +343,15 @@ class TestFit:
                      "--families", "gamma,inverse_gamma"] + option) == 2
         assert "fit failed" not in capsys.readouterr().err
 
+    def test_integer_m_without_inverse_gamma_exits_2(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        self._write_samples(data, np.log(sh.sample_inverse_gamma(5.0, 1.0, 200, seed=5)))
+        out = tmp_path / "r.csv"
+        assert main(["fit", "--data", str(data), "--scale", "ln", "--families", "gamma",
+                     "--integer-m", "--out", str(out)]) == 2
+        assert "integer_m applies to the inverse_gamma family only" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_db_direction_flag(self, tmp_path):
         data = tmp_path / "d.csv"
         xs = np.log(sh.sample_inverse_gamma(5.0, 1.0, 1000, seed=9))

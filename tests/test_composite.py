@@ -510,6 +510,25 @@ class TestMixtureCdfKernel:
                                         for part in np.array_split(u, 3)])
                 np.testing.assert_allclose(whole, parts, rtol=1e-12, atol=1e-280)
 
+    @pytest.mark.parametrize("baseline, u", [
+        (fa.KappaMu(2.0, 1.5), 1e-230),
+        (fa.KappaMuShadowed(2.0, 1.5, 3.0), 1e-250),
+        (fa.NakagamiM(10.0), 1e-33),
+    ], ids=["kappa-mu", "kappa-mu-shadowed", "nakagami"])
+    def test_pdf_where_x_to_the_a_underflows(self, baseline, u):
+        # x^a_i underflows, or goes subnormal, while x^a_i / t does not: the
+        # PDF read 0, 0 and 3.5e-4 too high. NakagamiM(10) is the F law itself
+        model = co.CompositeModel(3.0, 1.0, baseline)
+        if isinstance(baseline, fa.NakagamiM):
+            want = co.f_pdf(co.FDistParams(3.0, 10.0, 1.0), u)
+        else:
+            want = co.composite_pdf(model, u, S.GMGF_INTEGER)
+        # a lone point takes the blocks; past _F_POINTS points, the row steps
+        rows = np.concatenate(([u], np.linspace(0.01, 5.0, co._F_POINTS + 8)))
+        for got in (co.composite_pdf(model, u, S.MIXTURE),
+                    co.composite_pdf(model, rows, S.MIXTURE)[0]):
+            assert got == pytest.approx(want, rel=1e-9, abs=0.0)
+
     def test_empty_and_2d_input(self):
         model = co.CompositeModel(2.5, 1.3, fa.Rician(3.0))
         for quantity in (co.composite_cdf, co.composite_pdf):
@@ -582,6 +601,8 @@ class TestTransformRoutesOverArrays:
         inner = exc.value.__cause__
         assert exc.value.estimate == 1.0 - inner.estimate
         assert exc.value.error_bound == inner.error_bound
+        # before the terms' peak no bound is known: 3 |last term| read 0.087
+        assert abs(exc.value.estimate - co.composite_cdf(model, 0.05)) <= exc.value.error_bound
 
     @pytest.mark.parametrize("quantity, strategy, m", [
         (co.composite_pdf, S.GMGF_GENERAL, 2.5),

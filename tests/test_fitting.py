@@ -1,5 +1,8 @@
 import functools
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -110,6 +113,23 @@ class TestFit:
         real = ft.fit("inverse_gamma", ecdf, multistart=2)
         constrained = ft.fit("inverse_gamma", ecdf, integer_m=True, multistart=2)
         assert constrained.cvm - real.cvm <= 0.1 * real.cvm
+
+    def test_integer_m_starts_at_each_shapes_own_mean(self):
+        # the unconstrained fit runs to the m - 1 = 1e-6 bound at omega
+        # 1.7e5; started there alone, the m = 2 row stayed put with CvM 6.97
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(1)))
+        ecdf = mc.empirical_cdf(np.log(rng.weibull(0.7, 30)))
+        real = ft.fit("inverse_gamma", ecdf)
+        assert real.params.m - 1.0 < 1e-5 and real.params.omega_i > 1e5
+        res = ft.fit("inverse_gamma", ecdf, integer_m=True)
+        # a dense scan of ln(omega) at the two candidate shapes
+        scan = min(
+            ft.cvm_statistic(ecdf, lambda t, m=m, w=w: sh.log_domain_cdf(
+                sh.InverseGamma(m=m, omega_i=math.exp(w)), t))
+            for m in (2.0, 3.0) for w in np.linspace(-6.0, 6.0, 1201)
+        )
+        assert res.cvm <= scan * (1.0 + 1e-9)
+        assert res.params.omega_i == pytest.approx(0.4404, rel=1e-3)
 
     def test_degenerate_data(self):
         ecdf = mc.empirical_cdf([2.0, 2.0, 2.0])
@@ -223,6 +243,33 @@ class TestSolver:
         res = ft.fit("inverse_gamma", self.ECDF, multistart=1)
         assert not res.converged
 
+    def test_merged_starts_keep_the_lower_of_two_minima(self, monkeypatch):
+        # cost (x0^2 - 1)^2 / 2 + x1^2 / 8 + (x0 - 1)^2 / 200: minima near
+        # x0 = 1 and, 0.02 higher, near x0 = -1, which the first start reaches
+        def residuals(x):
+            return np.array([x[0] ** 2 - 1.0, 0.5 * x[1], 0.1 * (x[0] - 1.0)])
+
+        def jacobian(x, r):
+            return np.array([[2.0 * x[0], 0.0], [0.0, 0.5], [0.1, 0.0]])
+
+        monkeypatch.setattr(ft, "_objective", lambda *args: (residuals, jacobian))
+        box = ((-4.0, 4.0), (-4.0, 4.0))
+        starts = np.add((-0.75, 0.0), ft._LATTICE[:8])
+        lo, hi = np.transpose(box)
+        ends = [ft._levenberg_marquardt(residuals, jacobian, x0, lo, hi)[0][0] for x0 in starts]
+        assert ends[0] == pytest.approx(-1.0, abs=0.05)
+        assert any(end == pytest.approx(1.0, abs=1e-6) for end in ends)
+
+        def search():
+            return ft._solve("two-well", None, tuple, box, None, starts)
+
+        merged = search()
+        monkeypatch.setattr(ft, "_BASIN_RADIUS", 0.0)
+        unmerged = search()
+        assert merged.params[0] == pytest.approx(1.0, abs=1e-6)
+        assert merged.cvm == unmerged.cvm
+        assert merged.converged and merged.iterations < unmerged.iterations
+
     def test_multistart_beyond_the_lattice_is_rejected(self):
         with pytest.raises(ValueError, match="13-point start lattice"):
             ft.fit("gamma", self.ECDF, multistart=14)
@@ -274,6 +321,24 @@ class TestCompareFamilies:
         assert sum(m != round(m) for m in shapes) == search
         assert next(r for r in ranked if r.family == "inverse_gamma_integer") == alone
 
+    def test_integer_m_needs_the_inverse_gamma_family(self, monkeypatch):
+        ecdf = ig_log_ecdf(5.0, 1.0, 200, seed=6)
+        fits = []
+        monkeypatch.setattr(ft, "fit", lambda *args: fits.append(args))
+        with pytest.raises(ValueError, match="integer_m applies to the inverse_gamma family"):
+            ft.compare_families(ecdf, ["gamma", "lognormal"], integer_m=True)
+        assert fits == []
+
+    def test_failed_inverse_gamma_fit_fails_the_integer_row(self, monkeypatch):
+        def failing(family, *args):
+            raise RuntimeError("no minimum")
+
+        monkeypatch.setattr(ft, "fit", failing)
+        ecdf = ig_log_ecdf(5.0, 1.0, 200, seed=6)
+        with pytest.raises(RuntimeError, match="inverse_gamma: no minimum; "
+                                               "inverse_gamma_integer: the inverse_gamma fit"):
+            ft.compare_families(ecdf, ["inverse_gamma"], integer_m=True)
+
     def test_integer_row_appended(self):
         ecdf = ig_log_ecdf(5.0, 1.0, 2000, seed=6)
         ranked = ft.compare_families(
@@ -319,3 +384,42 @@ class TestAgainstIndependentFitter:
         params, cvm = oracle_fits(law)[family]
         assert tuple(vars(res.params).values()) == pytest.approx(params, rel=1e-3)
         assert res.cvm == pytest.approx(cvm, rel=1e-6)
+
+
+_CATALOG_PATH = Path(__file__).resolve().parents[1] / "bench" / "catalog.py"
+_CATALOG_SPEC = importlib.util.spec_from_file_location("bench_catalog", _CATALOG_PATH)
+# registered first: its dataclasses look their module up by name
+catalog = sys.modules[_CATALOG_SPEC.name] = importlib.util.module_from_spec(_CATALOG_SPEC)
+_CATALOG_SPEC.loader.exec_module(catalog)
+
+
+class TestMergedStarts:
+    """A start that enters the basin of a minimum an earlier start reached
+    stops; on the benchmark's fit data that leaves every row where the
+    searches that run each start to its end put it."""
+
+    @pytest.mark.parametrize("spec", [s for specs in catalog.DATASETS.values() for s in specs],
+                             ids=catalog.dataset_name)
+    def test_matches_unmerged_search_with_fewer_jacobians(self, spec, monkeypatch):
+        values = catalog.dataset_values(spec)
+        ecdf = mc.empirical_cdf(values if spec["scale"] == "ln" else np.log(values))
+
+        def rows():
+            ranked = ft.compare_families(ecdf, sorted(ft.FAMILIES), integer_m=True)
+            return {r.family: r for r in ranked}
+
+        merged = rows()
+        monkeypatch.setattr(ft, "_BASIN_RADIUS", 0.0)
+        unmerged = rows()
+        assert merged.keys() == unmerged.keys() and len(merged) == 5
+        for family, res in merged.items():
+            want = unmerged[family]
+            # the CvM minimum is flat: the unmerged search keeps whichever of
+            # its starts' ends is lowest, and those ends differ by ~1e-5
+            assert tuple(vars(res.params).values()) == pytest.approx(
+                tuple(vars(want.params).values()), rel=1e-5)
+            assert res.cvm == pytest.approx(want.cvm, rel=1e-9, abs=0.0)
+            assert res.converged == want.converged
+            assert res.iterations <= want.iterations
+        assert (sum(r.iterations for r in merged.values())
+                < sum(r.iterations for r in unmerged.values()))

@@ -274,6 +274,18 @@ class TestSumSeries:
         np.testing.assert_allclose(totals, [t for t, _ in singles], rtol=1e-14, atol=0.0)
         assert longest == max(n for _, n in singles)
 
+    def test_nonconvergence_bounds_the_tail(self):
+        # 0.9^k cut at 50 terms leaves out exactly 0.9^50 / 0.1
+        tol = nm.Tolerance(max_terms=50)
+        tail = 0.9**50 / 0.1
+        for summed in (lambda: nm.sum_series(lambda k: 0.9**k, tol),
+                       lambda: nm.sum_series_blocks(
+                           lambda ks, idx: 0.9 ** ks * np.ones((idx.size, 1)), tol, 2)):
+            with pytest.raises(nm.ConvergenceError) as exc:
+                summed()
+            assert exc.value.error_bound == pytest.approx(tail, rel=1e-12, abs=0.0)
+            assert exc.value.estimate == pytest.approx(10.0 - tail, rel=1e-14, abs=0.0)
+
     def test_side_by_side_nonconvergence(self):
         tol = nm.Tolerance(max_terms=200)
         ratios = np.array([0.5, 1.0, 0.9])

@@ -272,6 +272,11 @@ def _cmd_fit(args) -> int:
     except RuntimeError as exc:
         print(f"fit failed: {exc}", file=sys.stderr)
         return 4
+    fitted = {r.family for r in results}
+    requested = families + (["inverse_gamma_integer"] if args.integer_m else [])
+    for family in dict.fromkeys(requested):
+        if family not in fitted:
+            print(f"fit failed: {family}", file=sys.stderr)
     rows = []
     for r in results:
         params = ";".join(

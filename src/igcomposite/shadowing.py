@@ -1,8 +1,9 @@
 """Candidate shadowing distributions: lognormal, gamma, inverse Gaussian, inverse gamma.
 
 CDFs accept scalars or numpy arrays (the fitting objective evaluates them in
-bulk). The inverse-gamma family requires shape m > 1 so that the mean exists;
-m <= 1 is rejected everywhere.
+bulk). Every PDF and CDF is finite over y in [e^-745, e^709], the abscissae
+`log_domain_cdf` maps to. The inverse-gamma family requires shape m > 1 so
+that the mean exists; m <= 1 is rejected everywhere.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ _EXP_LO, _EXP_HI = -745.0, 709.0
 
 class _Shadowing:
     """Argument handling shared by every shadowing law. A model supplies
-    `_cdf(y)` and `_pdf(y)` on a float array of y > 0."""
+    `_cdf(y)`, `_pdf(y)` and `_log_slope(y)`, the slope d ln g / d ln y of
+    g = y f(y), on a float array of y > 0."""
 
     def cdf(self, y):
         """Model CDF at y > 0; vectorized over y."""
@@ -61,7 +63,10 @@ class Lognormal(_Shadowing):
 
     def _pdf(self, y):
         z = (np.log(y) - self.mu) / self.sigma
-        return np.exp(-0.5 * z * z) / (y * self.sigma * np.sqrt(2.0 * np.pi))
+        return np.exp(-0.5 * z * z) / y / (self.sigma * np.sqrt(2.0 * np.pi))
+
+    def _log_slope(self, y):
+        return -(np.log(y) - self.mu) / self.sigma**2
 
 
 @dataclass(frozen=True)
@@ -78,11 +83,16 @@ class GammaShadowing(_Shadowing):
             raise ValueError(f"GammaShadowing: omega must be > 0, got {self.omega}")
 
     def _cdf(self, y):
-        return sc.gammainc(self.k, self.k * y / self.omega)
+        with np.errstate(over="ignore"):
+            return sc.gammainc(self.k, self.k * y / self.omega)
 
     def _pdf(self, y):
         k, om = self.k, self.omega
-        return np.exp(k * np.log(k / om) + (k - 1.0) * np.log(y) - k * y / om - sc.gammaln(k))
+        with np.errstate(over="ignore"):
+            return np.exp(k * np.log(k / om) + (k - 1.0) * np.log(y) - k * y / om - sc.gammaln(k))
+
+    def _log_slope(self, y):
+        return self.k - self.k * y / self.omega
 
 
 @dataclass(frozen=True)
@@ -101,17 +111,26 @@ class InverseGaussian(_Shadowing):
     def _cdf(self, y):
         # second term assembled in log space: exp(2 lam/mu) overflows long
         # before the Gaussian tail factor stops cancelling it
-        root = np.sqrt(self.lam / y)
-        ratio = y / self.mu_i
-        return sc.ndtr(root * (ratio - 1.0)) + np.exp(
-            2.0 * self.lam / self.mu_i + sc.log_ndtr(-root * (ratio + 1.0))
-        )
+        with np.errstate(over="ignore"):
+            root = np.sqrt(self.lam / y)
+            ratio = y / self.mu_i
+            return sc.ndtr(root * (ratio - 1.0)) + np.exp(
+                2.0 * self.lam / self.mu_i + sc.log_ndtr(-root * (ratio + 1.0))
+            )
 
     def _pdf(self, y):
         mu, lam = self.mu_i, self.lam
-        return np.sqrt(lam / (2.0 * np.pi * y**3)) * np.exp(
-            -lam * (y - mu) ** 2 / (2.0 * mu**2 * y)
-        )
+        # q is inf / inf only where (y - mu)^2 and 2 mu^2 y both overflow, far
+        # past exp's range; y^-3/2 takes two steps, as y^3 underflows from
+        # y = 1e-108, and overflows only where exp(-q) is 0
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            q = lam * (y - mu) ** 2 / (2.0 * mu**2 * y)
+            tail = np.exp(-np.where(np.isnan(q), np.inf, q))
+            return np.where(tail > 0, np.sqrt(lam / (2.0 * np.pi)) / y / np.sqrt(y) * tail, 0.0)
+
+    def _log_slope(self, y):
+        mu, lam = self.mu_i, self.lam
+        return -0.5 - lam * y / (2.0 * mu**2) + lam / (2.0 * y)
 
 
 @dataclass(frozen=True)
@@ -133,7 +152,11 @@ class InverseGamma(_Shadowing):
 
     def _pdf(self, y):
         m, rate = self.m, self.omega_i * (self.m - 1.0)
-        return np.exp(m * np.log(rate) - sc.gammaln(m) - (m + 1.0) * np.log(y) - rate / y)
+        with np.errstate(over="ignore"):
+            return np.exp(m * np.log(rate) - sc.gammaln(m) - (m + 1.0) * np.log(y) - rate / y)
+
+    def _log_slope(self, y):
+        return -self.m + self.omega_i * (self.m - 1.0) / y
 
 
 ShadowingModel = Union[Lognormal, GammaShadowing, InverseGaussian, InverseGamma]

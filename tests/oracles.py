@@ -3,7 +3,10 @@
 Everything here is written against scipy / mpmath directly, without calling
 into igcomposite, so agreement tests compare two genuinely distinct routes:
 hand-transcribed density formulas integrated with QUADPACK, and brute-force
-compensated power series for the hypergeometric functions.
+compensated power series for the hypergeometric functions. The one exception
+is `direct_cvm_objective`, the fit search's CvM residuals with the model CDF
+evaluated at every quadrature node, which takes the library's quadrature and
+models and is the reference its Hermite-reduced residuals are checked against.
 """
 
 from __future__ import annotations
@@ -324,3 +327,33 @@ class CvmFitOracle:
             if best is None or res.fun < best[1]:
                 best = ((float(m), math.exp(res.x)), float(res.fun))
         return best
+
+
+def direct_cvm_objective(quad, make, bounds, scale):
+    """The residuals sqrt(w) (Fhat - F) with `make(coords).cdf` at every node
+    of `quad` (a fitting quadrature: nodes, weights, levels), and their
+    Jacobian: exact along the `scale` direction, where dF/dd = -y f(y), and
+    one forward difference along the other coordinate, stepped back into the
+    box at an upper bound. Drop-in for the fit search's `_objective`."""
+    root_w = np.sqrt(quad.weights)
+    y = np.exp(np.clip(quad.nodes, -745.0, 709.0))
+    hi = np.transpose(bounds)[1]
+    basis = np.array(scale, dtype=float)[:, None]
+    if basis.size == 2:
+        axis = int(scale[0] != 0)
+        basis = np.column_stack([basis, np.eye(2)[axis]])
+    to_coords = np.linalg.inv(basis)
+
+    def residuals(coords):
+        return root_w * (quad.levels - make(coords).cdf(y))
+
+    def jacobian(coords, r):
+        cols = [root_w * y * make(coords).pdf(y)]
+        if basis.shape[1] == 2:
+            h = math.sqrt(np.finfo(float).eps) * max(1.0, abs(coords[axis]))
+            stepped = np.array(coords, dtype=float)
+            stepped[axis] += h if coords[axis] + h <= hi[axis] else -h
+            cols.append((residuals(stepped) - r) / (stepped[axis] - coords[axis]))
+        return np.column_stack(cols) @ to_coords
+
+    return residuals, jacobian

@@ -12,6 +12,7 @@ import pytest
 
 from igcomposite import cli
 from igcomposite import composite as co
+from igcomposite import fitting
 from igcomposite import shadowing as sh
 from igcomposite.cli import _fmt, main, parse_model_config
 
@@ -351,6 +352,45 @@ class TestFit:
                      "--integer-m", "--out", str(out)]) == 2
         assert "integer_m applies to the inverse_gamma family only" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("failing, integer_m, missing", [
+        ("gamma", False, ["gamma"]),
+        ("inverse_gamma", True, ["inverse_gamma", "inverse_gamma_integer"]),
+    ])
+    def test_failed_rows_are_named(self, tmp_path, capsys, monkeypatch, failing, integer_m,
+                                   missing):
+        # the other rows are still written and the exit code stays 0
+        library_fit = fitting.fit
+
+        def fit(family, *args):
+            if family == failing:
+                raise RuntimeError("no minimum")
+            return library_fit(family, *args)
+
+        monkeypatch.setattr(fitting, "fit", fit)
+        data, out = tmp_path / "d.csv", tmp_path / "r.csv"
+        self._write_samples(data, np.log(sh.sample_inverse_gamma(5.0, 1.0, 300, seed=5)))
+        argv = ["fit", "--data", str(data), "--scale", "ln", "--families",
+                "gamma,inverse_gamma,lognormal", "--multistart", "2", "--out", str(out)]
+        assert main(argv + (["--integer-m"] if integer_m else [])) == 0
+        assert capsys.readouterr().err.splitlines() == [f"fit failed: {f}" for f in missing]
+        _, rows = read_csv(out)
+        assert {r[0] for r in rows} == {"gamma", "inverse_gamma", "lognormal"} - {failing}
+
+    @pytest.mark.parametrize("seed", [1, 20])
+    def test_deep_db_data_fit_every_family(self, tmp_path, capsys, seed):
+        # 300 draws of N(-25, 3) dB, ln y ~ -217 +- 26. The inverse Gaussian
+        # row was lost: its density took y^3 to 0 and the fit raised "mu_i
+        # must be > 0, got nan" (seed 1), or its moment start overflowed
+        # expm1 at a log variance of 741 (seed 20)
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+        data, out = tmp_path / "d.csv", tmp_path / "r.csv"
+        self._write_samples(data, rng.normal(-25.0, 3.0, 300))
+        assert main(["fit", "--data", str(data), "--scale", "db", "--families",
+                     "inverse_gaussian,lognormal,gamma,inverse_gamma", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        _, rows = read_csv(out)
+        assert sorted(r[0] for r in rows) == sorted(fitting.FAMILIES)
 
     def test_db_direction_flag(self, tmp_path):
         data = tmp_path / "d.csv"

@@ -11,7 +11,7 @@ from igcomposite import fitting as ft
 from igcomposite import montecarlo as mc
 from igcomposite import shadowing as sh
 
-from oracles import CvmFitOracle, step_theory
+from oracles import CvmFitOracle, direct_cvm_objective, step_theory
 
 
 def ig_log_ecdf(m, omega, n, seed):
@@ -423,3 +423,128 @@ class TestMergedStarts:
             assert res.iterations <= want.iterations
         assert (sum(r.iterations for r in merged.values())
                 < sum(r.iterations for r in unmerged.values()))
+
+
+def philox(seed):
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+
+
+def bench_ecdf(spec):
+    values = catalog.dataset_values(spec)
+    return mc.empirical_cdf(values if spec["scale"] == "ln" else np.log(values))
+
+
+def search_rows(ecdf, direct=False):
+    """Every row of the CLI report, from the Hermite-reduced search or, if
+    `direct`, from the search over the oracle's direct objective."""
+    with pytest.MonkeyPatch.context() as mp:
+        if direct:
+            mp.setattr(ft, "_objective", direct_cvm_objective)
+        ranked = ft.compare_families(ecdf, sorted(ft.FAMILIES), integer_m=True)
+    return {r.family: r for r in ranked}
+
+
+def hermite_cdf(quad, model):
+    """F at every quadrature node as the reduced search sees it."""
+    reduced = quad.hermite()
+    k = reduced.knots.size
+    cdf = sh.log_domain_cdf(model, reduced.points)
+    g = reduced.y[:k] * sh.pdf(model, reduced.y[:k])
+    return reduced.weighted(cdf[:k], g, cdf[k:]) / np.sqrt(quad.weights)
+
+
+def params_of(res):
+    return tuple(vars(res.params).values())
+
+
+BENCH_SPECS = [s for specs in catalog.DATASETS.values() for s in specs]
+
+
+@functools.lru_cache(maxsize=None)
+def bench_rows(name):
+    return search_rows(bench_ecdf(next(s for s in BENCH_SPECS if catalog.dataset_name(s) == name)))
+
+
+class TestHermiteReduction:
+    """The fit search interpolates F at the step nodes from F and y f(y) at
+    a few hundred knots; it must land where the search over the model CDF
+    at every node (tests/oracles.py) lands."""
+
+    @pytest.mark.parametrize("spec", BENCH_SPECS, ids=catalog.dataset_name)
+    def test_interpolated_cdf_matches_the_direct_one(self, spec):
+        ecdf = bench_ecdf(spec)
+        quad = ft._CvmQuadrature(ecdf, 5.0)
+        # an evaluation costs the knots and the pads, not the 4n step nodes
+        assert quad.hermite().points.size < 0.4 * quad.nodes.size
+        for res in bench_rows(catalog.dataset_name(spec)).values():
+            gap = hermite_cdf(quad, res.params) - sh.log_domain_cdf(res.params, quad.nodes)
+            assert np.abs(gap).max() < 1e-9, res.family
+        for fam in ft.FAMILIES.values():
+            lo, hi = np.transpose(fam.bounds)
+            for x0 in np.clip(np.add(fam.start(*ft._log_moments(ecdf)), ft._LATTICE[:8]), lo, hi):
+                model = fam.make(x0)
+                gap = hermite_cdf(quad, model) - sh.log_domain_cdf(model, quad.nodes)
+                assert np.abs(gap).max() < 1e-7, (fam.name, x0)
+
+    @pytest.mark.parametrize("spec", BENCH_SPECS, ids=catalog.dataset_name)
+    def test_search_matches_the_direct_search(self, spec):
+        reduced = bench_rows(catalog.dataset_name(spec))
+        direct = search_rows(bench_ecdf(spec), direct=True)
+        assert reduced.keys() == direct.keys() and len(reduced) == 5
+        for family, res in reduced.items():
+            want = direct[family]
+            assert params_of(res) == pytest.approx(params_of(want), rel=1e-6), family
+            assert res.cvm == pytest.approx(want.cvm, rel=1e-9, abs=0.0), family
+            assert res.converged == want.converged, family
+
+    @pytest.mark.parametrize("spec", BENCH_SPECS, ids=catalog.dataset_name)
+    def test_reported_cvm_is_the_statistic(self, spec):
+        ecdf = bench_ecdf(spec)
+        for res in bench_rows(catalog.dataset_name(spec)).values():
+            exact = ft.cvm_statistic(ecdf, lambda t: sh.log_domain_cdf(res.params, t))
+            assert res.cvm == pytest.approx(exact, rel=1e-14, abs=0.0), res.family
+
+    def test_narrow_bulk_among_far_outliers(self):
+        # s is set by the outliers here; the data knots keep the bulk's cells
+        # narrow (the s/32 grid alone moved the parameters by 2.4e-4)
+        ecdf = mc.empirical_cdf(np.concatenate(
+            (philox(41).normal(0.0, 0.01, 2000), philox(42).uniform(-3.0, 3.0, 20))))
+        reduced, direct = search_rows(ecdf), search_rows(ecdf, direct=True)
+        for family, res in reduced.items():
+            assert params_of(res) == pytest.approx(params_of(direct[family]), rel=1e-5), family
+            assert res.cvm == pytest.approx(direct[family].cvm, rel=1e-9, abs=0.0), family
+
+    def test_two_modes(self):
+        # the inverse-gamma minimum is flat here: its parameters move by 6e-4
+        # between the two searches, its CvM by 7e-9
+        ecdf = mc.empirical_cdf(np.concatenate(
+            (philox(43).normal(-1.0, 0.2, 250), philox(44).normal(1.0, 0.2, 250))))
+        reduced, direct = search_rows(ecdf), search_rows(ecdf, direct=True)
+        assert reduced.keys() == direct.keys()
+        for family, res in reduced.items():
+            assert res.cvm == pytest.approx(direct[family].cvm, rel=1e-7, abs=0.0), family
+
+    @pytest.mark.parametrize("center, width", [(3.0, 0.001), (-738.0, 0.3)])
+    @pytest.mark.parametrize("family", sorted(ft.FAMILIES))
+    def test_jacobian_is_finite_where_the_density_underflows(self, family, center, width):
+        # y f(y) underflows to 0 at the far pad nodes of narrow data; near
+        # y = e^-745 it does so at knots too, where the inverse laws' slopes
+        # overflow (rate / y, lam / 2y)
+        ecdf = mc.empirical_cdf(philox(45).normal(center, width, 500))
+        quad = ft._CvmQuadrature(ecdf, 5.0)
+        fam = ft.FAMILIES[family]
+        lo, hi = np.transpose(fam.bounds)
+        residuals, jacobian = ft._objective(quad, fam.make, fam.bounds, fam.scale)
+        y = quad.hermite().y
+        underflows = 0
+        for x in np.clip(np.add(fam.start(*ft._log_moments(ecdf)), ft._LATTICE), lo, hi):
+            g = y * sh.pdf(fam.make(x), y)
+            underflows += np.sum(g == 0.0)
+            assert np.all(np.isfinite(jacobian(x, residuals(x)))), x
+        assert underflows > 0
+
+    def test_map_is_built_on_first_use(self):
+        # validation's quadrature (montecarlo.compare) never asks for it
+        quad = ft._CvmQuadrature(ig_log_ecdf(3.0, 2.0, 500, seed=31), 5.0)
+        assert quad._hermite is None
+        assert quad.hermite() is quad.hermite()

@@ -4,6 +4,7 @@ import typing
 
 import numpy as np
 import pytest
+import scipy.special as sc
 from scipy.integrate import quad
 
 from igcomposite import montecarlo as mc
@@ -159,3 +160,75 @@ def test_every_law_implements_cdf_and_pdf(cls):
     assert np.all(pdf > 0)
     assert sh.cdf(model, 1.0) == model.cdf(1.0) == cdf[1]
     assert sh.pdf(model, 1.0) == model.pdf(1.0) == pdf[1]
+
+
+def closed_form(model, y):
+    """(PDF, CDF) as each law's closed form reads in double arithmetic, with
+    no care for the ends of double range (the inverse Gaussian CDF's second
+    term in log space, as exp(2 lam / mu) overflows in the bulk)."""
+    y = np.asarray(y, dtype=float)
+    with np.errstate(all="ignore"):
+        if isinstance(model, sh.Lognormal):
+            z = (np.log(y) - model.mu) / model.sigma
+            return (np.exp(-0.5 * z * z) / (y * model.sigma * np.sqrt(2.0 * np.pi)),
+                    0.5 + 0.5 * sc.erf(z / np.sqrt(2.0)))
+        if isinstance(model, sh.GammaShadowing):
+            k, om = model.k, model.omega
+            return (np.exp(k * np.log(k / om) + (k - 1.0) * np.log(y) - k * y / om
+                           - sc.gammaln(k)),
+                    sc.gammainc(k, k * y / om))
+        if isinstance(model, sh.InverseGaussian):
+            mu, lam = model.mu_i, model.lam
+            root, ratio = np.sqrt(lam / y), y / mu
+            return (np.sqrt(lam / (2.0 * np.pi * y**3))
+                    * np.exp(-lam * (y - mu) ** 2 / (2.0 * mu**2 * y)),
+                    sc.ndtr(root * (ratio - 1.0))
+                    + np.exp(2.0 * lam / mu + sc.log_ndtr(-root * (ratio + 1.0))))
+        m, rate = model.m, model.omega_i * (model.m - 1.0)
+        return (np.exp(m * np.log(rate) - sc.gammaln(m) - (m + 1.0) * np.log(y) - rate / y),
+                sc.gammaincc(m, rate / y))
+
+
+# log_domain_cdf maps ln y in [-745, 709]; at every one of these y each law
+# below has reached its limits: PDF 0, CDF 0 below the bulk and 1 above it
+EXTREME_Y = [math.exp(-745.0), 1e-320, 1e-110, 1e110, 1e308, math.exp(709.0)]
+LIMIT_MODELS = [sh.Lognormal(0.0, 1.0), sh.GammaShadowing(2.0, 1.0),
+                sh.InverseGaussian(1.0, 1.0), sh.InverseGamma(3.0, 2.0)]
+
+
+@pytest.mark.parametrize("y", EXTREME_Y, ids=lambda y: f"{y:.3g}")
+@pytest.mark.parametrize("model", LIMIT_MODELS, ids=lambda m: type(m).__name__)
+def test_ends_of_the_log_domain_reach_the_limits(model, y):
+    # a RuntimeWarning is an error under pytest: InverseGaussian(1, 1).pdf
+    # at 1e-110 was NaN, and four of these points raised one
+    pdf, cdf = sh.pdf(model, y), sh.cdf(model, y)
+    assert pdf == pytest.approx(0.0, abs=1e-100)
+    assert cdf == pytest.approx(0.0 if y < 1.0 else 1.0, abs=1e-100)
+    for value, formula in zip((pdf, cdf), closed_form(model, y)):
+        if math.isfinite(formula):
+            assert value == pytest.approx(float(formula), rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("model", [
+    sh.Lognormal(-3.0, 0.01), sh.Lognormal(5.0, 5.0), sh.GammaShadowing(0.05, 1e-6),
+    sh.GammaShadowing(1e4, 1e6), sh.InverseGaussian(1e-6, 1e6), sh.InverseGaussian(1e6, 1e-6),
+    sh.InverseGaussian(3.0, 50.0), sh.InverseGamma(1.0 + 1e-6, 1e6), sh.InverseGamma(1e4, 1e-6),
+], ids=repr)
+def test_finite_over_the_log_domain_and_equal_to_the_closed_form(model):
+    # corners of the fit's parameter box, over the whole log domain
+    y = np.exp(np.linspace(-745.0, 709.0, 20001))
+    pdf, cdf = sh.pdf(model, y), sh.cdf(model, y)
+    assert np.all(np.isfinite(pdf)) and np.all(np.isfinite(cdf))
+    for value, formula in zip((pdf, cdf), closed_form(model, y)):
+        ok = np.isfinite(formula)
+        np.testing.assert_allclose(value[ok], formula[ok], rtol=1e-14, atol=1e-300)
+
+
+@pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: type(m).__name__)
+def test_log_slope_is_the_derivative_of_ln_y_f(model):
+    # d ln(y f(y)) / d ln y, by central differences in ln y
+    t, h = np.linspace(-2.0, 2.0, 41), 1e-5
+    def ln_g(t):
+        return t + np.log(sh.pdf(model, np.exp(t)))
+    want = (ln_g(t + h) - ln_g(t - h)) / (2.0 * h)
+    np.testing.assert_allclose(model._log_slope(np.exp(t)), want, rtol=1e-7, atol=1e-7)

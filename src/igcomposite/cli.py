@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -262,21 +263,24 @@ def _cmd_fit(args) -> int:
         t = _to_log_domain(a, args.scale, args.db_direction)
         ecdf = montecarlo.EmpiricalCdf(t, b, sample_count=len(t))
     try:
-        results = fitting.compare_families(
-            ecdf,
-            families,
-            integer_m=args.integer_m,
-            multistart=args.multistart,
-            support_pad=args.pad,
-        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", fitting.FitFailedWarning)
+            results = fitting.compare_families(
+                ecdf,
+                families,
+                integer_m=args.integer_m,
+                multistart=args.multistart,
+                support_pad=args.pad,
+            )
     except RuntimeError as exc:
         print(f"fit failed: {exc}", file=sys.stderr)
         return 4
-    fitted = {r.family for r in results}
-    requested = families + (["inverse_gamma_integer"] if args.integer_m else [])
-    for family in dict.fromkeys(requested):
-        if family not in fitted:
-            print(f"fit failed: {family}", file=sys.stderr)
+    # name each failed row and its reason; pass any other warning on
+    for w in caught:
+        if issubclass(w.category, fitting.FitFailedWarning):
+            print(f"fit failed: {w.message}", file=sys.stderr)
+        else:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
     rows = []
     for r in results:
         params = ";".join(
@@ -300,7 +304,9 @@ def _cmd_simulate(args) -> int:
         ecdf = montecarlo.empirical_cdf(samples).thin(4096)
         thin_margin = math.ceil(args.count / 4096) / args.count
         result = montecarlo.compare(
-            ecdf, lambda t: composite.composite_cdf(model, t)
+            ecdf,
+            lambda t: composite.composite_cdf(model, t),
+            density=lambda t: composite.composite_pdf(model, t),
         )
         guard = 0.003 * math.sqrt(1e6 / args.count)
         sup_bound = result.sup_distance + thin_margin

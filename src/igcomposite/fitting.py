@@ -20,7 +20,9 @@ from the model PDF; the other coordinate takes one forward difference.
 
 from __future__ import annotations
 
+import functools
 import math
+import warnings
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -34,6 +36,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "FitResult",
+    "FitFailedWarning",
     "FAMILIES",
     "cvm_statistic",
     "fit",
@@ -60,6 +63,11 @@ class FitResult:
     cvm: float
     iterations: int
     converged: bool
+
+
+class FitFailedWarning(UserWarning):
+    """One row of `compare_families` failed while others succeeded; the
+    message is "<family>: <reason>"."""
 
 
 def db_to_natural_log(t_db, direction: str = "paper"):
@@ -130,17 +138,20 @@ class _CvmQuadrature:
         return float(np.dot(self.weights, resid * resid))
 
     def hermite(self) -> _HermiteMap:
-        """The fit search's Hermite map of these nodes, built on first use."""
+        """The fit search's Hermite map of these nodes, built on first use:
+        the step nodes from its knots, the pad nodes direct."""
         if self._hermite is None:
-            self._hermite = _HermiteMap(self)
+            direct = np.arange(self.nodes.size) >= self.steps
+            self._hermite = _HermiteMap(_fit_knots(self), self.nodes, direct,
+                                        np.sqrt(self.weights))
         return self._hermite
 
 
-# Knots of the Hermite map. A cubic Hermite cell of width h misses F by at most
-# h^4 max|F^(4)| / 384 (de Boor 1978), and F^(4) scales as s^-4 on data whose
-# logs have standard deviation s. With cells of s/64 the reduced scale column
-# stays within 1.7e-9 (of its largest entry) of central differences of the
-# direct CDF on n = 500 inverse-gamma draws; s/32 misses by 3.1e-8.
+# Knots of the fit's Hermite map. A cubic Hermite cell of width h misses F by at
+# most h^4 max|F^(4)| / 384 (de Boor 1978), and F^(4) scales as s^-4 on data
+# whose logs have standard deviation s. With cells of s/64 the reduced scale
+# column stays within 1.7e-9 (of its largest entry) of central differences of
+# the direct CDF on n = 500 inverse-gamma draws; s/32 misses by 3.1e-8.
 _KNOT_SPACING = 1.0 / 64.0
 # Every ceil(n / 128)-th abscissa is a knot as well: it keeps the cells narrow
 # where the data crowd more tightly than s says, as a narrow bulk among far
@@ -148,49 +159,66 @@ _KNOT_SPACING = 1.0 / 64.0
 _DATA_KNOTS = 128
 
 
-class _HermiteMap:
-    """sqrt(w) F at a quadrature's nodes from F at knots and pad nodes: at
-    each step node, the cubic Hermite interpolant in t = ln y of F and of
-    its slope dF/dt at the knots; at the pad nodes, F itself.
+def _fit_knots(quad: _CvmQuadrature) -> np.ndarray:
+    """A uniform grid of spacing s/64 over the data's range and every
+    ceil(n / 128)-th abscissa, never more cells than step nodes."""
+    t = quad.ecdf.t
+    spread = math.sqrt(max(_log_moments(quad.ecdf)[1], 0.0))
+    cells = quad.steps
+    if spread > 0:
+        cells = min(cells, math.ceil((t[-1] - t[0]) / (_KNOT_SPACING * spread)))
+    stride = -(-t.size // _DATA_KNOTS)
+    return np.unique(np.concatenate((np.linspace(t[0], t[-1], cells + 1), t[::stride], t[-1:])))
 
-    `points` are the knots followed by the pad nodes, and `y` is e^points
-    as `shadowing.log_domain_cdf` maps them.
+
+class _HermiteMap:
+    """Values at a quadrature's nodes from values v and slopes dv at knots,
+    in one interpolation coordinate: at each node, the cubic Hermite
+    interpolant of v and dv at the knots around it; at the `direct` nodes,
+    values evaluated there. Each value is scaled by its node's `root_w`.
+
+    The fit and `montecarlo.compare` share it. The fit maps F in t = ln y from
+    its knots, with the pad nodes direct and root_w = sqrt(w); `compare` maps
+    the theory CDF in ln u from the eCDF's abscissae, with the nodes of wide
+    cells direct.
+
+    `points` are the knots followed by the direct nodes, in the interpolation
+    coordinate, and `y` is e^points as `shadowing.log_domain_cdf` maps them.
     """
 
-    def __init__(self, quad: _CvmQuadrature):
-        t, steps = quad.ecdf.t, quad.steps
-        spread = math.sqrt(max(_log_moments(quad.ecdf)[1], 0.0))
-        cells = steps  # never more cells than the nodes they serve
-        if spread > 0:
-            cells = min(cells, math.ceil((t[-1] - t[0]) / (_KNOT_SPACING * spread)))
-        stride = -(-t.size // _DATA_KNOTS)
-        self.knots = np.unique(np.concatenate(
-            (np.linspace(t[0], t[-1], cells + 1), t[::stride], t[-1:])))
-        self.points = np.concatenate((self.knots, quad.nodes[steps:]))
-        self.y = np.exp(np.clip(self.points, shadowing._EXP_LO, shadowing._EXP_HI))
-        x = quad.nodes[:steps]
-        cell = np.clip(np.searchsorted(self.knots, x, side="right") - 1, 0, self.knots.size - 2)
-        h = np.diff(self.knots)[cell]
-        tau = (x - self.knots[cell]) / h
-        root_w = np.sqrt(quad.weights)
-        self.left, self.right, self.pad_root_w = cell, cell + 1, root_w[steps:]
+    def __init__(self, knots: np.ndarray, nodes: np.ndarray, direct: np.ndarray,
+                 root_w: np.ndarray | float = 1.0):
+        self.knots = knots
+        self.points = np.concatenate((knots, nodes[direct]))
+        self._direct, self._interpolated = np.flatnonzero(direct), np.flatnonzero(~direct)
+        x = nodes[self._interpolated]
+        cell = np.clip(np.searchsorted(knots, x, side="right") - 1, 0, knots.size - 2)
+        h = np.diff(knots)[cell]
+        tau = (x - knots[cell]) / h
+        root_w = np.broadcast_to(root_w, nodes.shape)
+        self.left, self.right, self.direct_root_w = cell, cell + 1, root_w[self._direct]
+        w = root_w[self._interpolated]
         # weights of v[k], v[k+1], dv[k] and dv[k+1] for a node in cell k
-        self.basis = root_w[:steps] * np.array([
-            (1.0 + 2.0 * tau) * (1.0 - tau) ** 2,
-            tau * tau * (3.0 - 2.0 * tau),
-            h * tau * (1.0 - tau) ** 2,
-            -h * tau * tau * (1.0 - tau),
-        ])
+        self.basis = (
+            w * ((1.0 + 2.0 * tau) * (1.0 - tau) ** 2),
+            w * (tau * tau * (3.0 - 2.0 * tau)),
+            w * (h * tau * (1.0 - tau) ** 2),
+            w * (-h * tau * tau * (1.0 - tau)),
+        )
 
-    def weighted(self, v: np.ndarray, dv: np.ndarray, pads: np.ndarray) -> np.ndarray:
-        """sqrt(w) times the values at every node, from the values v and
-        slopes dv/dt at the knots and the values at the pad nodes."""
+    @functools.cached_property
+    def y(self) -> np.ndarray:
+        return np.exp(np.clip(self.points, shadowing._EXP_LO, shadowing._EXP_HI))
+
+    def weighted(self, v: np.ndarray, dv: np.ndarray, at_direct: np.ndarray) -> np.ndarray:
+        """root_w times the values at every node, from the values v and
+        slopes dv at the knots and the values at the direct nodes."""
         left, right, w = self.left, self.right, self.basis
-        return np.concatenate((
-            w[0] * v.take(left) + w[1] * v.take(right) + w[2] * dv.take(left)
-            + w[3] * dv.take(right),
-            self.pad_root_w * pads,
-        ))
+        out = np.empty(self._direct.size + self._interpolated.size)
+        out[self._interpolated] = (w[0] * v.take(left) + w[1] * v.take(right)
+                                   + w[2] * dv.take(left) + w[3] * dv.take(right))
+        out[self._direct] = self.direct_root_w * at_direct
+        return out
 
 
 def cvm_statistic(
@@ -518,9 +546,10 @@ def compare_families(
     """Fit each family and rank ascending by the CvM statistic.
 
     The integer-m row restricts the unconstrained inverse-gamma fit, which
-    runs once. Per-family failures are collected; if every requested fit
-    fails the aggregated error is raised. Invalid options raise ValueError
-    before any fit.
+    runs once. Per-family failures are collected: if every requested fit
+    fails the aggregated error is raised, and otherwise each failed row warns
+    with a FitFailedWarning "<family>: <reason>". Invalid options raise
+    ValueError before any fit.
     """
     if not families:
         raise ValueError("compare_families: no families requested")
@@ -548,4 +577,6 @@ def compare_families(
             failures.append(f"inverse_gamma_integer: {exc}")
     if not results:
         raise RuntimeError("all family fits failed: " + "; ".join(failures))
+    for failure in failures:
+        warnings.warn(failure, FitFailedWarning, stacklevel=2)
     return sorted(results, key=lambda r: r.cvm)

@@ -106,23 +106,56 @@ def empirical_cdf(samples) -> EmpiricalCdf:
     return EmpiricalCdf(uniq, f, int(arr.size))
 
 
+# Cells of the eCDF wider than this in ln u take the theory at their Gauss
+# nodes, not from the Hermite map: a cubic Hermite cell of width h misses F by
+# up to h^4 max|F^(4)| / 384 (de Boor 1978), and the few wide cells of a heavy
+# upper tail (0.05 to ~1 in ln u on 10^4 draws) would move the CvM by up to
+# 2.5e-2 relative (NakagamiM(2.5), m = 2.5).
+_WIDE_CELL = 0.05
+
+
 def compare(
     ecdf: EmpiricalCdf,
     theory: Callable[[np.ndarray], np.ndarray],
     support_pad: float = 0.0,
+    density: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> CompareResult:
     """Kolmogorov sup-distance and Cramer-von Mises integral against a
-    monotone theoretical CDF (vectorized callable), which is called once."""
+    monotone theoretical CDF (vectorized callable).
+
+    Without `density`, `theory` is called once, on 2 t.size points plus the
+    CvM's Gauss nodes (4 per eCDF step, 2 past 4096 steps, 64 per pad): at
+    the abscissae t, at their left limits (t nudged down by 1e-9 of a gap, so
+    a theory that itself steps at the abscissae measures as zero distance),
+    and at the Gauss nodes.
+
+    `density`, the PDF of a continuous theory, is used when every abscissa
+    and Gauss node is positive. Then F(t-) = F(t), and `theory` is called
+    once, at t and at the Gauss nodes of the pads and of the cells wider than
+    0.05 in ln u, before `density` is called once at t. The other Gauss nodes
+    take F from the cubic Hermite interpolant in ln u of F and of its slope
+    dF/d ln u = u f(u) at t.
+    """
     t = ecdf.t
-    # left limits via a relative nudge so a theory that itself steps at the
-    # abscissae (e.g. the eCDF's own interpolant) measures as zero distance
-    gaps = np.diff(t, prepend=t[0] - (t[-1] - t[0] + 1.0))
-    nudged = t - 1e-9 * gaps
-    # keep positive-support theories evaluable at the first abscissa
-    nudged = np.where(t > 0, np.maximum(nudged, t * (1.0 - 1e-9)), nudged)
-    quad = fitting._CvmQuadrature(ecdf, support_pad)
-    values = np.asarray(theory(np.concatenate((t, nudged, quad.nodes))), dtype=float)
-    f_th, f_left, f_nodes = np.split(values, [t.size, 2 * t.size])
     prev = np.concatenate(([0.0], ecdf.f[:-1]))
+    quad = fitting._CvmQuadrature(ecdf, support_pad)
+    if density is None or not (t[0] > 0 and quad.nodes.min() > 0):
+        # left limits via a relative nudge; a positive theory stays
+        # evaluable at the first abscissa
+        gaps = np.diff(t, prepend=t[0] - (t[-1] - t[0] + 1.0))
+        nudged = t - 1e-9 * gaps
+        nudged = np.where(t > 0, np.maximum(nudged, t * (1.0 - 1e-9)), nudged)
+        values = np.asarray(theory(np.concatenate((t, nudged, quad.nodes))), dtype=float)
+        f_th, f_left, f_nodes = np.split(values, [t.size, 2 * t.size])
+    else:
+        knots = np.log(t)
+        direct = np.ones(quad.nodes.size, dtype=bool)
+        direct[:quad.steps] = np.repeat(
+            np.diff(knots) > _WIDE_CELL, quad.steps // max(t.size - 1, 1))
+        reduced = fitting._HermiteMap(knots, np.log(quad.nodes), direct)
+        values = np.asarray(theory(np.concatenate((t, quad.nodes[direct]))), dtype=float)
+        f_th = f_left = values[:t.size]
+        slope = t * np.asarray(density(t), dtype=float)
+        f_nodes = reduced.weighted(f_th, slope, values[t.size:])
     sup = float(np.max(np.maximum(np.abs(ecdf.f - f_th), np.abs(prev - f_left))))
     return CompareResult(sup, quad.evaluate(f_nodes))

@@ -354,12 +354,14 @@ class TestFit:
         assert not out.exists()
 
     @pytest.mark.parametrize("failing, integer_m, missing", [
-        ("gamma", False, ["gamma"]),
-        ("inverse_gamma", True, ["inverse_gamma", "inverse_gamma_integer"]),
+        ("gamma", False, ["gamma: no minimum"]),
+        ("inverse_gamma", True, ["inverse_gamma: no minimum", "inverse_gamma_integer: "
+                                 "the inverse_gamma fit it restricts failed"]),
     ])
     def test_failed_rows_are_named(self, tmp_path, capsys, monkeypatch, failing, integer_m,
                                    missing):
-        # the other rows are still written and the exit code stays 0
+        # each failed row is named with its reason; the other rows are still
+        # written and the exit code stays 0
         library_fit = fitting.fit
 
         def fit(family, *args):
@@ -418,6 +420,27 @@ class TestSimulate:
                    "--seed", "7", "--validate"])
         assert rc == 0
         assert "validation passed" in capsys.readouterr().out
+
+    def test_validation_takes_one_cdf_and_one_pdf_sweep(self, capsys, monkeypatch):
+        # the model's PDF goes to compare, so the theory CDF is called at
+        # the 4096 kept abscissae and the nodes of the few wide cells only
+        sizes = {"cdf": [], "pdf": []}
+
+        def spy(name):
+            library = getattr(co, f"composite_{name}")
+
+            def wrapped(model, u, *args):
+                sizes[name].append(np.size(u))
+                return library(model, u, *args)
+            return wrapped
+
+        for name in sizes:
+            monkeypatch.setattr(co, f"composite_{name}", spy(name))
+        rc = main(["simulate", "--config", RAYLEIGH_CFG, "--count", "10000",
+                   "--seed", "3", "--validate"])
+        assert rc == 0 and "validation passed" in capsys.readouterr().out
+        assert sizes["pdf"] == [4096]
+        assert len(sizes["cdf"]) == 1 and 4096 <= sizes["cdf"][0] < 4096 + 4 * 100
 
     def test_validate_needs_two_samples(self, capsys):
         rc = main(["simulate", "--config", RAYLEIGH_CFG, "--count", "1",

@@ -339,6 +339,20 @@ class TestCompareFamilies:
                                                "inverse_gamma_integer: the inverse_gamma fit"):
             ft.compare_families(ecdf, ["inverse_gamma"], integer_m=True)
 
+    def test_failed_rows_warn_with_their_reason(self, monkeypatch):
+        library_fit = ft.fit
+
+        def fit(family, *args):
+            if family == "gamma":
+                raise RuntimeError("no minimum")
+            return library_fit(family, *args)
+
+        monkeypatch.setattr(ft, "fit", fit)
+        ecdf = ig_log_ecdf(5.0, 1.0, 200, seed=6)
+        with pytest.warns(ft.FitFailedWarning, match="^gamma: no minimum$"):
+            ranked = ft.compare_families(ecdf, ["gamma", "lognormal"], multistart=2)
+        assert [r.family for r in ranked] == ["lognormal"]
+
     def test_integer_row_appended(self):
         ecdf = ig_log_ecdf(5.0, 1.0, 2000, seed=6)
         ranked = ft.compare_families(

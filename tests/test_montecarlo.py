@@ -7,6 +7,7 @@ import scipy.stats as st
 from igcomposite import composite as co
 from igcomposite import fading as fa
 from igcomposite import montecarlo as mc
+from igcomposite.numerics import ConvergenceError
 
 from oracles import step_theory
 
@@ -120,3 +121,100 @@ class TestCompare:
         ecdf = mc.empirical_cdf(xs).thin(5000)
         res = mc.compare(ecdf, lambda t: co.composite_cdf(model, t))
         assert res.sup_distance + 250 / 10**6 < 0.002
+
+
+# the first model of each baseline the benchmark validates
+BASELINES = {
+    "rayleigh": fa.Rayleigh(),
+    "rician": fa.Rician(3.0),
+    "nakagami": fa.NakagamiM(2.0),
+    "hoyt": fa.Hoyt(0.5),
+    "kappa-mu": fa.KappaMu(2.0, 1.5),
+    "eta-mu": fa.EtaMu(0.4, 1.2),
+    "kappa-mu-shadowed": fa.KappaMuShadowed(2.0, 1.5, 3.0),
+    "twdp": fa.TWDP(4.0, 0.9),
+}
+# the series of Hoyt and eta-mu fails on these draws (ROADMAP item 2)
+SERIES_DEFECTS = {("hoyt", 1.5), ("hoyt", 2.5), ("hoyt", 40.5), ("eta-mu", 40.5)}
+
+
+def theory_pair(model):
+    return (lambda t: co.composite_cdf(model, t)), (lambda t: co.composite_pdf(model, t))
+
+
+class TestCompareWithDensity:
+    """With the theory's PDF, compare takes F at t and the Gauss nodes of
+    wide cells, and the other nodes from a Hermite map in ln u; it must give
+    what the generic path gives."""
+
+    @pytest.mark.parametrize("m", [1.5, 2.5, 40.5])
+    @pytest.mark.parametrize("name", sorted(BASELINES))
+    def test_matches_the_generic_path(self, name, m):
+        model = co.CompositeModel(m, 1.0, BASELINES[name])
+        ecdf = mc.empirical_cdf(mc.sample_composite(model, 10**4, seed=7)).thin(4096)
+        cdf, pdf = theory_pair(model)
+        if (name, m) in SERIES_DEFECTS:
+            for density in (None, pdf):
+                with pytest.raises(ConvergenceError):
+                    mc.compare(ecdf, cdf, density=density)
+            return
+        generic, reduced = mc.compare(ecdf, cdf), mc.compare(ecdf, cdf, density=pdf)
+        assert reduced.sup_distance == pytest.approx(generic.sup_distance, rel=0.0, abs=1e-9)
+        assert reduced.cvm_value == pytest.approx(generic.cvm_value, rel=1e-6, abs=0.0)
+
+    def test_wide_cells_are_evaluated(self, monkeypatch):
+        # the heavy upper tail of these draws (the benchmark's
+        # validate/nakagami/low-nonint, m = 2.5) has cells up to 0.6 wide in
+        # ln u; interpolated, they move the CvM by 2.5e-2 relative
+        model = co.CompositeModel(2.5, 1.0, fa.NakagamiM(2.5))
+        ecdf = mc.empirical_cdf(mc.sample_composite(model, 12000, seed=12)).thin(4096)
+        cdf, pdf = theory_pair(model)
+        want = mc.compare(ecdf, cdf).cvm_value
+        assert mc.compare(ecdf, cdf, density=pdf).cvm_value == pytest.approx(want, rel=1e-6)
+        monkeypatch.setattr(mc, "_WIDE_CELL", math.inf)
+        assert mc.compare(ecdf, cdf, density=pdf).cvm_value != pytest.approx(want, rel=1e-3)
+
+    @staticmethod
+    def spy(f, sizes):
+        def wrapped(t):
+            sizes.append(np.size(t))
+            return f(t)
+        return wrapped
+
+    def test_point_counts(self):
+        model = co.CompositeModel(2.5, 1.0, fa.Rician(3.0))
+        ecdf = mc.empirical_cdf(mc.sample_composite(model, 10**4, seed=5)).thin(4096)
+        n = ecdf.t.size
+        wide = int(np.sum(np.diff(np.log(ecdf.t)) > mc._WIDE_CELL))
+        assert 0 < wide < 100
+        cdf, pdf = theory_pair(model)
+        theory, density = [], []
+        mc.compare(ecdf, self.spy(cdf, theory), density=self.spy(pdf, density))
+        assert theory == [n + 4 * wide] and density == [n]
+        # the generic path: t, its left limits and 4 Gauss nodes per step
+        theory.clear()
+        mc.compare(ecdf, self.spy(cdf, theory))
+        assert theory == [2 * n + 4 * (n - 1)]
+
+    def test_nonpositive_nodes_take_the_generic_path(self):
+        # a density needs ln u at every node; a pad reaching below 0 (or a
+        # negative abscissa) falls back to the left limits and every node
+        ecdf = mc.empirical_cdf(np.random.default_rng(3).normal(size=500))
+        density, sizes = [], []
+        got = mc.compare(ecdf, self.spy(st.norm.cdf, sizes), 1.0, self.spy(st.norm.pdf, density))
+        assert got == mc.compare(ecdf, st.norm.cdf, 1.0) and density == []
+        positive = mc.EmpiricalCdf(ecdf.t + 10.0, ecdf.f, ecdf.sample_count)
+        mc.compare(positive, lambda t: st.norm.cdf(t - 10.0), 11.0,
+                   self.spy(lambda t: st.norm.pdf(t - 10.0), density))
+        assert density == []
+
+    def test_cell_below_ln_resolution_is_evaluated(self):
+        # neighbouring abscissae one ulp apart at 1e10 share ln u, so their
+        # cell has no width; its nodes take the next cell's left end
+        t = np.array([9e9, 1e10, np.nextafter(1e10, np.inf), 1.1e10])
+        ecdf = mc.EmpiricalCdf(t, np.array([0.25, 0.5, 0.75, 1.0]), 4)
+        assert np.log(t[1]) == np.log(t[2])
+        cdf, pdf = (lambda u: st.norm.cdf(u, 1e10, 1e9)), (lambda u: st.norm.pdf(u, 1e10, 1e9))
+        want, got = mc.compare(ecdf, cdf), mc.compare(ecdf, cdf, density=pdf)
+        assert got.sup_distance == pytest.approx(want.sup_distance, abs=1e-9)
+        assert got.cvm_value == pytest.approx(want.cvm_value, rel=1e-6)

@@ -281,6 +281,10 @@ def _cmd_fit(args) -> int:
             print(f"fit failed: {w.message}", file=sys.stderr)
         else:
             warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    for r in results:
+        if r.pinned:
+            print(f"fit bound: {r.family} stopped on the search bound of "
+                  f"{', '.join(r.pinned)}; its cvm measures the bound", file=sys.stderr)
     rows = []
     for r in results:
         params = ";".join(

@@ -55,7 +55,9 @@ class FitResult:
     solves behind the row (for the integer-m row, the unconstrained search's
     and the integer-shape solves'); converged is true when the solve that
     produced the returned parameters met a stop rule (ftol, xtol or gtol)
-    before its evaluation budget ran out.
+    before its evaluation budget ran out. pinned names the fields of params
+    whose search coordinate sits on its `FAMILIES` bound (for the integer-m
+    row, omega_i only): such a row measures the box, not the family.
     """
 
     family: str
@@ -63,6 +65,7 @@ class FitResult:
     cvm: float
     iterations: int
     converged: bool
+    pinned: tuple[str, ...] = ()
 
 
 class FitFailedWarning(UserWarning):
@@ -141,8 +144,7 @@ class _CvmQuadrature:
         """The fit search's Hermite map of these nodes, built on first use:
         the step nodes from its knots, the pad nodes direct."""
         if self._hermite is None:
-            direct = np.arange(self.nodes.size) >= self.steps
-            self._hermite = _HermiteMap(_fit_knots(self), self.nodes, direct,
+            self._hermite = _HermiteMap(_fit_knots(self), self.nodes, self.steps,
                                         np.sqrt(self.weights))
         return self._hermite
 
@@ -171,40 +173,37 @@ def _fit_knots(quad: _CvmQuadrature) -> np.ndarray:
     return np.unique(np.concatenate((np.linspace(t[0], t[-1], cells + 1), t[::stride], t[-1:])))
 
 
+def _hermite_basis(tau, h):
+    """The cubic Hermite weights of v[k], v[k+1], dv[k] and dv[k+1] at the
+    relative position tau in a cell [k, k+1] of width h."""
+    return (
+        (1.0 + 2.0 * tau) * (1.0 - tau) ** 2,
+        tau * tau * (3.0 - 2.0 * tau),
+        h * tau * (1.0 - tau) ** 2,
+        -h * tau * tau * (1.0 - tau),
+    )
+
+
 class _HermiteMap:
-    """Values at a quadrature's nodes from values v and slopes dv at knots,
-    in one interpolation coordinate: at each node, the cubic Hermite
-    interpolant of v and dv at the knots around it; at the `direct` nodes,
-    values evaluated there. Each value is scaled by its node's `root_w`.
+    """The fit's values at a quadrature's nodes in t = ln y, each scaled by its
+    node's `root_w`: at the first `steps` nodes, the cubic Hermite
+    interpolant (`_hermite_basis`) of values v and slopes dv at the knots
+    around it, found by search; at the others (the pads), values evaluated
+    there.
 
-    The fit and `montecarlo.compare` share it. The fit maps F in t = ln y from
-    its knots, with the pad nodes direct and root_w = sqrt(w); `compare` maps
-    the theory CDF in ln u from the eCDF's abscissae, with the nodes of wide
-    cells direct.
-
-    `points` are the knots followed by the direct nodes, in the interpolation
-    coordinate, and `y` is e^points as `shadowing.log_domain_cdf` maps them.
+    `points` are the knots followed by the direct nodes, and `y` is e^points
+    as `shadowing.log_domain_cdf` maps them.
     """
 
-    def __init__(self, knots: np.ndarray, nodes: np.ndarray, direct: np.ndarray,
-                 root_w: np.ndarray | float = 1.0):
+    def __init__(self, knots: np.ndarray, nodes: np.ndarray, steps: int, root_w: np.ndarray):
         self.knots = knots
-        self.points = np.concatenate((knots, nodes[direct]))
-        self._direct, self._interpolated = np.flatnonzero(direct), np.flatnonzero(~direct)
-        x = nodes[self._interpolated]
+        self.points = np.concatenate((knots, nodes[steps:]))
+        x = nodes[:steps]
         cell = np.clip(np.searchsorted(knots, x, side="right") - 1, 0, knots.size - 2)
         h = np.diff(knots)[cell]
-        tau = (x - knots[cell]) / h
-        root_w = np.broadcast_to(root_w, nodes.shape)
-        self.left, self.right, self.direct_root_w = cell, cell + 1, root_w[self._direct]
-        w = root_w[self._interpolated]
-        # weights of v[k], v[k+1], dv[k] and dv[k+1] for a node in cell k
-        self.basis = (
-            w * ((1.0 + 2.0 * tau) * (1.0 - tau) ** 2),
-            w * (tau * tau * (3.0 - 2.0 * tau)),
-            w * (h * tau * (1.0 - tau) ** 2),
-            w * (-h * tau * tau * (1.0 - tau)),
-        )
+        self.left, self.right, self.direct_root_w = cell, cell + 1, root_w[steps:]
+        w = root_w[:steps]
+        self.basis = tuple(w * b for b in _hermite_basis((x - knots[cell]) / h, h))
 
     @functools.cached_property
     def y(self) -> np.ndarray:
@@ -214,11 +213,9 @@ class _HermiteMap:
         """root_w times the values at every node, from the values v and
         slopes dv at the knots and the values at the direct nodes."""
         left, right, w = self.left, self.right, self.basis
-        out = np.empty(self._direct.size + self._interpolated.size)
-        out[self._interpolated] = (w[0] * v.take(left) + w[1] * v.take(right)
-                                   + w[2] * dv.take(left) + w[3] * dv.take(right))
-        out[self._direct] = self.direct_root_w * at_direct
-        return out
+        return np.concatenate((w[0] * v.take(left) + w[1] * v.take(right)
+                               + w[2] * dv.take(left) + w[3] * dv.take(right),
+                               self.direct_root_w * at_direct))
 
 
 def cvm_statistic(
@@ -239,7 +236,7 @@ _LN_MEAN_LO, _LN_MEAN_HI = math.log(1e-6), math.log(1e6)
 
 
 def _make_lognormal(c):
-    return shadowing.Lognormal(mu=c[0], sigma=math.exp(c[1]))
+    return shadowing.Lognormal(mu=float(c[0]), sigma=math.exp(c[1]))
 
 
 def _make_gamma(c):
@@ -261,6 +258,7 @@ class _Family:
     bounds: tuple[tuple[float, float], tuple[float, float]]
     start: Callable  # (log-mean, log-var) -> coords
     scale: tuple[float, float]  # coordinate direction that only rescales the law
+    fields: tuple[str, str]  # the model field each coordinate sets
 
 
 def _start_lognormal(m1, v):
@@ -298,6 +296,7 @@ FAMILIES: dict[str, _Family] = {
         ((_LN_MEAN_LO, _LN_MEAN_HI), (math.log(1e-3), math.log(5.0))),
         _start_lognormal,
         (1.0, 0.0),
+        ("mu", "sigma"),
     ),
     "gamma": _Family(
         "gamma",
@@ -305,6 +304,7 @@ FAMILIES: dict[str, _Family] = {
         ((math.log(0.05), math.log(1e4)), (_LN_MEAN_LO, _LN_MEAN_HI)),
         _start_gamma,
         (0.0, 1.0),
+        ("k", "omega"),
     ),
     "inverse_gaussian": _Family(
         "inverse_gaussian",
@@ -312,6 +312,7 @@ FAMILIES: dict[str, _Family] = {
         ((_LN_MEAN_LO, _LN_MEAN_HI), (_LN_MEAN_LO, _LN_MEAN_HI)),
         _start_invgauss,
         (1.0, 1.0),
+        ("mu_i", "lam"),
     ),
     "inverse_gamma": _Family(
         "inverse_gamma",
@@ -319,6 +320,7 @@ FAMILIES: dict[str, _Family] = {
         ((math.log(1e-6), math.log(1e4)), (_LN_MEAN_LO, _LN_MEAN_HI)),
         _start_invgamma,
         (0.0, 1.0),
+        ("m", "omega_i"),
     ),
 }
 
@@ -452,9 +454,10 @@ def _exact_cvm(quad: _CvmQuadrature, res: FitResult) -> FitResult:
     return replace(res, cvm=quad.evaluate(shadowing.log_domain_cdf(res.params, quad.nodes)))
 
 
-def _solve(tag: str, quad: _CvmQuadrature, make: Callable, bounds, scale, starts) -> FitResult:
+def _solve(tag: str, quad: _CvmQuadrature, make: Callable, bounds, scale, fields,
+           starts) -> FitResult:
     """Best least-squares CvM minimum over the starts, in coordinates mapped
-    to a model by `make`.
+    to a model by `make`; `fields` names the model field of each coordinate.
 
     A start stops once it enters the basin of a minimum an earlier start
     converged to, at a cost no lower than that minimum's: it can only find
@@ -478,7 +481,8 @@ def _solve(tag: str, quad: _CvmQuadrature, make: Callable, bounds, scale, starts
         if best is None or cost < best[1]:
             best = (x, cost, converged)
     x, cost, converged = best
-    return FitResult(tag, make(x), 2.0 * cost, iterations, converged)
+    pinned = tuple(name for name, xi, a, b in zip(fields, x, lo, hi) if not a < xi < b)
+    return FitResult(tag, make(x), 2.0 * cost, iterations, converged, pinned)
 
 
 def _restrict_to_integer_m(quad: _CvmQuadrature, real: FitResult, m1: float) -> FitResult:
@@ -493,6 +497,7 @@ def _restrict_to_integer_m(quad: _CvmQuadrature, real: FitResult, m1: float) -> 
             lambda c, m=float(m): shadowing.InverseGamma(m=m, omega_i=math.exp(c[0])),
             ((_LN_MEAN_LO, _LN_MEAN_HI),),
             (1.0,),
+            ("omega_i",),
             [(math.log(real.params.omega_i),), (math.log(_omega_start(m1, m)),)],
         )
         iterations += res.iterations
@@ -532,7 +537,8 @@ def fit(
     lo, hi = np.transpose(fam.bounds)
     m1, v = _log_moments(ecdf)
     starts = np.clip(np.add(fam.start(m1, max(v, 1e-4)), _LATTICE[:multistart]), lo, hi)
-    real = _exact_cvm(quad, _solve(family, quad, fam.make, fam.bounds, fam.scale, starts))
+    real = _exact_cvm(quad, _solve(family, quad, fam.make, fam.bounds, fam.scale, fam.fields,
+                                   starts))
     return _restrict_to_integer_m(quad, real, m1) if integer_m else real
 
 

@@ -49,14 +49,17 @@ class EmpiricalCdf:
         object.__setattr__(self, "f", f)
 
     def thin(self, max_points: int) -> "EmpiricalCdf":
-        """Keep every k-th point (always including the last); the retained
-        (t, f) pairs are exact values of the full step CDF."""
+        """Keep max_points of the n points, at the indices floor(i (n - 1) /
+        (max_points - 1)), i = 0 .. max_points - 1 (only the last point for
+        max_points = 1); the retained (t, f) pairs are exact values of the
+        full step CDF."""
         if max_points < 1:
             raise ValueError(f"EmpiricalCdf.thin: max_points must be >= 1, got {max_points}")
         if self.t.size <= max_points:
             return self
         last = self.t.size - 1
-        idx = np.unique(np.linspace(0, last, max_points).astype(int)) if max_points > 1 else [last]
+        # n > max_points spaces the indices more than 1 apart: strictly increasing
+        idx = np.linspace(0, last, max_points).astype(int) if max_points > 1 else [last]
         return EmpiricalCdf(self.t[idx], self.f[idx], self.sample_count)
 
 
@@ -131,10 +134,12 @@ def compare(
 
     `density`, the PDF of a continuous theory, is used when every abscissa
     and Gauss node is positive. Then F(t-) = F(t), and `theory` is called
-    once, at t and at the Gauss nodes of the pads and of the cells wider than
-    0.05 in ln u, before `density` is called once at t. The other Gauss nodes
-    take F from the cubic Hermite interpolant in ln u of F and of its slope
-    dF/d ln u = u f(u) at t.
+    once, at t, then at the Gauss nodes of the cells wider than 0.05 in ln u
+    (and of any cell ln u does not resolve), then at those of the pads,
+    before `density` is called once at t. Step k's Gauss nodes lie in cell k
+    of the knots ln t; the nodes of the other cells take F from the cubic
+    Hermite interpolant in ln u of F and of its slope dF/d ln u = u f(u) at
+    the cell's two abscissae.
     """
     t = ecdf.t
     prev = np.concatenate(([0.0], ecdf.f[:-1]))
@@ -149,13 +154,23 @@ def compare(
         f_th, f_left, f_nodes = np.split(values, [t.size, 2 * t.size])
     else:
         knots = np.log(t)
-        direct = np.ones(quad.nodes.size, dtype=bool)
-        direct[:quad.steps] = np.repeat(
-            np.diff(knots) > _WIDE_CELL, quad.steps // max(t.size - 1, 1))
-        reduced = fitting._HermiteMap(knots, np.log(quad.nodes), direct)
-        values = np.asarray(theory(np.concatenate((t, quad.nodes[direct]))), dtype=float)
-        f_th = f_left = values[:t.size]
+        h = np.diff(knots)
+        direct = (h > _WIDE_CELL) | (h == 0.0)
+        # row k holds step k's Gauss nodes, which lie in knot cell k (no rows
+        # for a single abscissa)
+        cells = quad.nodes[:quad.steps].reshape(h.size, quad.steps // max(h.size, 1))
+        direct_nodes = cells[direct]
+        values = np.asarray(theory(np.concatenate(
+            (t, direct_nodes.ravel(), quad.nodes[quad.steps:]))), dtype=float)
+        f_th, f_direct, f_pads = np.split(values, [t.size, t.size + direct_nodes.size])
+        f_left = f_th
         slope = t * np.asarray(density(t), dtype=float)
-        f_nodes = reduced.weighted(f_th, slope, values[t.size:])
+        # a zero-width cell is evaluated; a unit width keeps its tau finite
+        h = np.where(h > 0.0, h, 1.0)[:, None]
+        basis = fitting._hermite_basis((np.log(cells) - knots[:-1, None]) / h, h)
+        f_cells = (basis[0] * f_th[:-1, None] + basis[1] * f_th[1:, None]
+                   + basis[2] * slope[:-1, None] + basis[3] * slope[1:, None])
+        f_cells[direct] = f_direct.reshape(direct_nodes.shape)
+        f_nodes = np.concatenate((f_cells.ravel(), f_pads))
     sup = float(np.max(np.maximum(np.abs(ecdf.f - f_th), np.abs(prev - f_left))))
     return CompareResult(sup, quad.evaluate(f_nodes))

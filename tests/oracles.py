@@ -3,10 +3,12 @@
 Everything here is written against scipy / mpmath directly, without calling
 into igcomposite, so agreement tests compare two genuinely distinct routes:
 hand-transcribed density formulas integrated with QUADPACK, and brute-force
-compensated power series for the hypergeometric functions. The one exception
-is `direct_cvm_objective`, the fit search's CvM residuals with the model CDF
-evaluated at every quadrature node, which takes the library's quadrature and
-models and is the reference its Hermite-reduced residuals are checked against.
+compensated power series for the hypergeometric functions. The two
+exceptions take the library's quadrature: `direct_cvm_objective`, the fit
+search's CvM residuals with the model CDF evaluated at every quadrature node,
+is the reference its Hermite-reduced residuals are checked against, and
+`hermite_map_compare` rebuilds the density path of `montecarlo.compare` on the
+fit's searching Hermite map.
 """
 
 from __future__ import annotations
@@ -357,3 +359,30 @@ def direct_cvm_objective(quad, make, bounds, scale):
         return np.column_stack(cols) @ to_coords
 
     return residuals, jacobian
+
+
+def hermite_map_compare(ecdf, theory, density, wide_cell, support_pad=0.0):
+    """(sup-distance, CvM) of `montecarlo.compare`'s density path, with the
+    Gauss nodes' cells found by `fitting._HermiteMap`'s search over the knots
+    ln t rather than from the eCDF's layout. The nodes of cells wider than
+    `wide_cell` in ln u, and of the pads, take `theory` directly; the map
+    interpolates the others from F and u f(u) at t."""
+    from igcomposite import fitting
+
+    quad = fitting._CvmQuadrature(ecdf, support_pad)
+    t = ecdf.t
+    knots = np.log(t)
+    direct = np.ones(quad.nodes.size, dtype=bool)
+    direct[:quad.steps] = np.repeat(np.diff(knots) > wide_cell, quad.steps // max(t.size - 1, 1))
+    # the map interpolates its leading nodes and takes the rest as given
+    order = np.concatenate((np.flatnonzero(~direct), np.flatnonzero(direct)))
+    interpolated = int(np.count_nonzero(~direct))
+    reduced = fitting._HermiteMap(knots, np.log(quad.nodes[order]), interpolated,
+                                  np.ones(quad.nodes.size))
+    values = np.asarray(theory(np.concatenate((t, quad.nodes[direct]))), dtype=float)
+    f_t = values[:t.size]
+    f_nodes = np.empty(quad.nodes.size)
+    f_nodes[order] = reduced.weighted(f_t, t * density(t), values[t.size:])
+    prev = np.concatenate(([0.0], ecdf.f[:-1]))
+    sup = float(np.max(np.maximum(np.abs(ecdf.f - f_t), np.abs(prev - f_t))))
+    return sup, quad.evaluate(f_nodes)

@@ -298,6 +298,25 @@ class TestFit:
         params = dict(kv.split("=") for kv in int_row[1].split(";"))
         assert float(params["m"]) == round(float(params["m"]))
 
+    def test_rows_on_a_bound_are_named(self, tmp_path, capsys):
+        # data far narrower than the search box allows: every family stops on
+        # a bound of FAMILIES, and the report stays as it was
+        data = tmp_path / "d.csv"
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(45)))
+        self._write_samples(data, rng.normal(3.0, 0.001, 500))
+        out = tmp_path / "report.csv"
+        capsys.readouterr()
+        rc = main(["fit", "--data", str(data), "--scale", "ln", "--families",
+                   "lognormal,gamma,inverse_gaussian,inverse_gamma", "--out", str(out)])
+        assert rc == 0
+        header, rows = read_csv(out)
+        assert header == ["family", "params", "cvm", "converged", "iterations"] and len(rows) == 4
+        lines = capsys.readouterr().err.splitlines()
+        assert sorted(lines) == [
+            f"fit bound: {family} stopped on the search bound of {field}; its cvm measures the bound"
+            for family, field in (("gamma", "k"), ("inverse_gamma", "m"),
+                                  ("inverse_gaussian", "lam"), ("lognormal", "sigma"))]
+
     def test_ecdf_pairs_input(self, tmp_path):
         data = tmp_path / "e.csv"
         xs = np.log(sh.sample_inverse_gamma(5.0, 1.0, 3000, seed=8))
@@ -390,7 +409,10 @@ class TestFit:
         self._write_samples(data, rng.normal(-25.0, 3.0, 300))
         assert main(["fit", "--data", str(data), "--scale", "db", "--families",
                      "inverse_gaussian,lognormal,gamma,inverse_gamma", "--out", str(out)]) == 0
-        assert capsys.readouterr().err == ""
+        # no row failed; a row may stop on a bound of the search box, whose
+        # means reach down to 1e-6 only (ln y ~ -13.8)
+        assert all(line.startswith("fit bound: ")
+                   for line in capsys.readouterr().err.splitlines())
         _, rows = read_csv(out)
         assert sorted(r[0] for r in rows) == sorted(fitting.FAMILIES)
 

@@ -202,7 +202,7 @@ class TestSolver:
         mid = np.clip(fam.start(*ft._log_moments(self.ECDF)), lo, hi)
         starts = [lo, hi, (hi[0], mid[1]), (mid[0], hi[1]), (lo[0], mid[1])]
         quad = ft._CvmQuadrature(self.ECDF, 5.0)
-        res = ft._solve(family, quad, make, fam.bounds, fam.scale, starts)
+        res = ft._solve(family, quad, make, fam.bounds, fam.scale, fam.fields, starts)
         seen = np.array(seen)
         assert np.all((seen >= lo) & (seen <= hi))
         # solves started on the upper bounds, whose forward differences
@@ -261,7 +261,7 @@ class TestSolver:
         assert any(end == pytest.approx(1.0, abs=1e-6) for end in ends)
 
         def search():
-            return ft._solve("two-well", None, tuple, box, None, starts)
+            return ft._solve("two-well", None, tuple, box, None, ("x0", "x1"), starts)
 
         merged = search()
         monkeypatch.setattr(ft, "_BASIN_RADIUS", 0.0)
@@ -477,6 +477,29 @@ BENCH_SPECS = [s for specs in catalog.DATASETS.values() for s in specs]
 @functools.lru_cache(maxsize=None)
 def bench_rows(name):
     return search_rows(bench_ecdf(next(s for s in BENCH_SPECS if catalog.dataset_name(s) == name)))
+
+
+class TestPinnedRows:
+    """A row whose search coordinate stops on its FAMILIES bound names the
+    field; on such data the ranking measures the box."""
+
+    def test_narrow_data_pin_every_family(self):
+        ecdf = mc.empirical_cdf(philox(45).normal(3.0, 0.001, 500))
+        rows = {r.family: r for r in ft.compare_families(ecdf, sorted(ft.FAMILIES))}
+        assert {family: r.pinned for family, r in rows.items()} == {
+            "lognormal": ("sigma",), "gamma": ("k",),
+            "inverse_gaussian": ("lam",), "inverse_gamma": ("m",)}
+        assert all(r.converged for r in rows.values())
+
+    @pytest.mark.parametrize("spec", BENCH_SPECS, ids=catalog.dataset_name)
+    def test_no_bench_row_is_pinned(self, spec):
+        rows = bench_rows(catalog.dataset_name(spec)).values()
+        assert [r.pinned for r in rows] == [()] * 5
+
+    @pytest.mark.parametrize("spec", BENCH_SPECS, ids=catalog.dataset_name)
+    def test_fitted_parameters_are_floats(self, spec):
+        for res in bench_rows(catalog.dataset_name(spec)).values():
+            assert all(type(v) is float for v in params_of(res)), res
 
 
 class TestHermiteReduction:

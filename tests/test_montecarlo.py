@@ -9,7 +9,7 @@ from igcomposite import fading as fa
 from igcomposite import montecarlo as mc
 from igcomposite.numerics import ConvergenceError
 
-from oracles import step_theory
+from oracles import hermite_map_compare, step_theory
 
 
 class TestEmpiricalCdf:
@@ -52,11 +52,15 @@ class TestEmpiricalCdf:
         with pytest.raises(ValueError, match="max_points must be >= 1"):
             ecdf.thin(0)
 
-    def test_thin_indices_for_validation(self):
+    @pytest.mark.parametrize("n", [4097, 2 * 4096 - 1, 2 * 4096, 2 * 4096 + 1,
+                                   10**4, 12000, 10**5])
+    def test_thin_indices_for_validation(self, n):
         # simulate --validate thins to 4096 points, and its bench references
         # are checked to 1e-6: the kept indices must not move
-        ecdf = mc.empirical_cdf(np.random.default_rng(4).random(10**4))
-        idx = np.unique(np.linspace(0, 10**4 - 1, 4096).astype(int))
+        ecdf = mc.empirical_cdf(np.random.default_rng(4).random(n))
+        assert ecdf.t.size == n
+        idx = np.unique(np.linspace(0, n - 1, 4096).astype(int))
+        assert idx[0] == 0 and idx[-1] == n - 1
         thin = ecdf.thin(4096)
         np.testing.assert_array_equal(thin.t, ecdf.t[idx])
         np.testing.assert_array_equal(thin.f, ecdf.f[idx])
@@ -142,6 +146,10 @@ def theory_pair(model):
     return (lambda t: co.composite_cdf(model, t)), (lambda t: co.composite_pdf(model, t))
 
 
+def grid_ecdf(model):
+    return mc.empirical_cdf(mc.sample_composite(model, 10**4, seed=7)).thin(4096)
+
+
 class TestCompareWithDensity:
     """With the theory's PDF, compare takes F at t and the Gauss nodes of
     wide cells, and the other nodes from a Hermite map in ln u; it must give
@@ -151,7 +159,7 @@ class TestCompareWithDensity:
     @pytest.mark.parametrize("name", sorted(BASELINES))
     def test_matches_the_generic_path(self, name, m):
         model = co.CompositeModel(m, 1.0, BASELINES[name])
-        ecdf = mc.empirical_cdf(mc.sample_composite(model, 10**4, seed=7)).thin(4096)
+        ecdf = grid_ecdf(model)
         cdf, pdf = theory_pair(model)
         if (name, m) in SERIES_DEFECTS:
             for density in (None, pdf):
@@ -161,6 +169,29 @@ class TestCompareWithDensity:
         generic, reduced = mc.compare(ecdf, cdf), mc.compare(ecdf, cdf, density=pdf)
         assert reduced.sup_distance == pytest.approx(generic.sup_distance, rel=0.0, abs=1e-9)
         assert reduced.cvm_value == pytest.approx(generic.cvm_value, rel=1e-6, abs=0.0)
+
+    @pytest.mark.parametrize("name, m", [(name, m) for name in sorted(BASELINES)
+                                         for m in (1.5, 2.5, 40.5)
+                                         if (name, m) not in SERIES_DEFECTS])
+    def test_matches_the_searched_hermite_map(self, name, m):
+        # each node's cell comes from its eCDF step, not from a search
+        model = co.CompositeModel(m, 1.0, BASELINES[name])
+        ecdf = grid_ecdf(model)
+        cdf, pdf = theory_pair(model)
+        got = mc.compare(ecdf, cdf, density=pdf)
+        sup, cvm = hermite_map_compare(ecdf, cdf, pdf, mc._WIDE_CELL)
+        assert got.sup_distance == pytest.approx(sup, rel=0.0, abs=1e-15)
+        assert got.cvm_value == pytest.approx(cvm, rel=1e-13, abs=0.0)
+
+    def test_single_abscissa_with_a_pad(self):
+        # no steps, so every Gauss node lies on a pad
+        ecdf = mc.EmpiricalCdf(np.array([2.0]), np.array([1.0]), 1)
+        cdf, pdf = (lambda u: st.gamma.cdf(u, 3.0)), (lambda u: st.gamma.pdf(u, 3.0))
+        density = []
+        want, got = mc.compare(ecdf, cdf, 1.0), mc.compare(ecdf, cdf, 1.0, self.spy(pdf, density))
+        assert density == [1]
+        assert got.sup_distance == pytest.approx(want.sup_distance, rel=0.0, abs=1e-9)
+        assert got.cvm_value == want.cvm_value
 
     def test_wide_cells_are_evaluated(self, monkeypatch):
         # the heavy upper tail of these draws (the benchmark's

@@ -743,7 +743,7 @@ def gamma_mixture(model: FadingModel, tol: Tolerance = DEFAULT_TOL) -> GammaMixt
     at one common scale: a single term for Rayleigh/Nakagami, Poisson
     weights for Rician and kappa-mu, negative-binomial weights for kappa-mu
     shadowed, phase-averaged Poisson weights for TWDP. Hoyt and eta-mu have
-    no published mixture.
+    one too (Moschopoulos 1985), but the library does not state it yet.
 
     The arrays the mixture route sums (see `GammaMixture`). No component
     cap applies: the components run up to where the upper-tail bound of

@@ -102,39 +102,40 @@ class _CvmQuadrature:
         if not 0 <= support_pad < math.inf:
             raise ValueError(f"support_pad must be finite and >= 0, got {support_pad}")
         t, f = ecdf.t, ecdf.f
-        nodes = []
-        weights = []
-        levels = []
-        if t.size > 1:
-            lo, hi = t[:-1], t[1:]
-            mid = 0.5 * (lo + hi)
-            half = 0.5 * (hi - lo)
-            # 2-point panels are exact through cubics; on the sub-1e-3-wide
-            # steps of a large eCDF that is far below statistical noise
-            gx, gw = self._GL2 if lo.size > 4096 else self._GL4
-            nodes.append((mid[:, None] + half[:, None] * gx[None, :]).ravel())
-            weights.append((half[:, None] * gw[None, :]).ravel())
-            levels.append(np.repeat(f[:-1], gx.size))
+        if t.size == 1 and support_pad == 0:
+            raise ValueError("cvm_statistic: single-point eCDF with zero padding has no support")
+        # 2-point panels are exact through cubics; on the sub-1e-3-wide steps
+        # of a large eCDF that is far below statistical noise
+        gx, gw = self._GL2 if t.size > 4097 else self._GL4
+        mid, half = 0.5 * (t[:-1] + t[1:]), 0.5 * (t[1:] - t[:-1])
+        nodes = [(mid[:, None] + half[:, None] * gx).ravel()]
+        weights = [(half[:, None] * gw).ravel()]
+        levels = [np.repeat(f[:-1], gx.size)]
         if support_pad > 0:
-            gx, gw = self._GL64
+            px, pw = self._GL64
             for a, b, level in (
                 (t[0] - support_pad, t[0], 0.0),
                 (t[-1], t[-1] + support_pad, f[-1]),
             ):
                 mid, half = 0.5 * (a + b), 0.5 * (b - a)
-                nodes.append(mid + half * gx)
-                weights.append(half * gw)
-                levels.append(np.full(gx.size, level))
-        if not nodes:
-            raise ValueError(
-                "cvm_statistic: single-point eCDF with zero padding has no support"
-            )
+                nodes.append(mid + half * px)
+                weights.append(half * pw)
+                levels.append(np.full(px.size, level))
         self.nodes = np.concatenate(nodes)
         self.weights = np.concatenate(weights)
         self.levels = np.concatenate(levels)
-        # the step nodes come first, then the pads' nodes
-        self.ecdf, self.steps = ecdf, levels[0].size if t.size > 1 else 0
+        # the step nodes come first, then the pads' nodes; row k of `cells`
+        # views the Gauss nodes of eCDF step k
+        self.ecdf, self.steps = ecdf, nodes[0].size
+        self.cells = self.nodes[:self.steps].reshape(-1, gx.size)
         self._hermite = None
+
+    @functools.cached_property
+    def log_moments(self) -> tuple[float, float]:
+        """Mean and variance of the (log-domain) data the eCDF steps through."""
+        t, df = self.ecdf.t, np.diff(self.ecdf.f, prepend=0.0)
+        m1 = float(np.dot(t, df))
+        return m1, float(np.dot(t * t, df)) - m1 * m1
 
     def evaluate(self, theory_at_nodes: np.ndarray) -> float:
         resid = self.levels - np.asarray(theory_at_nodes, dtype=float)
@@ -165,7 +166,7 @@ def _fit_knots(quad: _CvmQuadrature) -> np.ndarray:
     """A uniform grid of spacing s/64 over the data's range and every
     ceil(n / 128)-th abscissa, never more cells than step nodes."""
     t = quad.ecdf.t
-    spread = math.sqrt(max(_log_moments(quad.ecdf)[1], 0.0))
+    spread = math.sqrt(max(quad.log_moments[1], 0.0))
     cells = quad.steps
     if spread > 0:
         cells = min(cells, math.ceil((t[-1] - t[0]) / (_KNOT_SPACING * spread)))
@@ -333,12 +334,6 @@ _LATTICE = [
 ]
 
 
-def _log_moments(ecdf: EmpiricalCdf) -> tuple[float, float]:
-    df = np.diff(np.concatenate(([0.0], ecdf.f)))
-    m1 = float(np.dot(ecdf.t, df))
-    return m1, float(np.dot(ecdf.t * ecdf.t, df)) - m1 * m1
-
-
 # scipy.optimize.least_squares' default stop rules and evaluation budget
 _FTOL = _XTOL = _GTOL = 1e-8
 _NFEV_PER_COORD = 100
@@ -485,10 +480,10 @@ def _solve(tag: str, quad: _CvmQuadrature, make: Callable, bounds, scale, fields
     return FitResult(tag, make(x), 2.0 * cost, iterations, converged, pinned)
 
 
-def _restrict_to_integer_m(quad: _CvmQuadrature, real: FitResult, m1: float) -> FitResult:
+def _restrict_to_integer_m(quad: _CvmQuadrature, real: FitResult) -> FitResult:
     """Best integer shape near the unconstrained inverse-gamma fit `real`:
     for each candidate m, a ln(omega) solve started at its omega and one
-    started at the omega that matches the data's log-mean m1 at shape m."""
+    started at the omega that matches the data's log-mean at shape m."""
     best, iterations = None, real.iterations
     for m in sorted({max(2, round(real.params.m) + d) for d in (-2, -1, 0, 1, 2)}):
         res = _solve(
@@ -498,7 +493,8 @@ def _restrict_to_integer_m(quad: _CvmQuadrature, real: FitResult, m1: float) -> 
             ((_LN_MEAN_LO, _LN_MEAN_HI),),
             (1.0,),
             ("omega_i",),
-            [(math.log(real.params.omega_i),), (math.log(_omega_start(m1, m)),)],
+            [(math.log(real.params.omega_i),),
+             (math.log(_omega_start(quad.log_moments[0], m)),)],
         )
         iterations += res.iterations
         if best is None or res.cvm < best.cvm:
@@ -506,7 +502,35 @@ def _restrict_to_integer_m(quad: _CvmQuadrature, real: FitResult, m1: float) -> 
     return _exact_cvm(quad, replace(best, iterations=iterations))
 
 
-_INTEGER_M_ONLY = "fit: integer_m applies to the inverse_gamma family only"
+def _check_options(families: Sequence[str], integer_m: bool, multistart: int,
+                   support_pad: float) -> None:
+    """The ValueError of the first invalid option of a fit, before any fit."""
+    if not families:
+        raise ValueError("compare_families: no families requested")
+    for family in families:
+        if family not in FAMILIES:
+            raise ValueError(f"fit: unknown family {family!r}; choose from {sorted(FAMILIES)}")
+    if integer_m and "inverse_gamma" not in families:
+        raise ValueError("fit: integer_m applies to the inverse_gamma family only")
+    if not 1 <= multistart <= len(_LATTICE):
+        raise ValueError(f"fit: multistart must be 1 to {len(_LATTICE)} (the points of the "
+                         f"{len(_LATTICE)}-point start lattice), got {multistart}")
+    if not 0 <= support_pad < math.inf:
+        raise ValueError(f"fit: support_pad must be finite and >= 0, got {support_pad}")
+
+
+_DEGENERATE = "fit: degenerate data (fewer than two distinct abscissae)"
+
+
+def _fit_row(family: str, quad: _CvmQuadrature, multistart: int) -> FitResult:
+    """The unconstrained fit of `family` on the data's quadrature `quad`,
+    from the first `multistart` lattice points around its moment start."""
+    fam = FAMILIES[family]
+    lo, hi = np.transpose(fam.bounds)
+    m1, v = quad.log_moments
+    starts = np.clip(np.add(fam.start(m1, max(v, 1e-4)), _LATTICE[:multistart]), lo, hi)
+    return _exact_cvm(quad, _solve(family, quad, fam.make, fam.bounds, fam.scale, fam.fields,
+                                   starts))
 
 
 def fit(
@@ -522,24 +546,12 @@ def fit(
     re-optimizes the mean for each integer shape in a bracket around its
     shape and keeps the best.
     """
-    if family not in FAMILIES:
-        raise ValueError(f"fit: unknown family {family!r}; choose from {sorted(FAMILIES)}")
-    if integer_m and family != "inverse_gamma":
-        raise ValueError(_INTEGER_M_ONLY)
+    _check_options((family,), integer_m, multistart, support_pad)
     if ecdf.t.size < 2:
-        raise ValueError("fit: degenerate data (fewer than two distinct abscissae)")
-    if not 1 <= multistart <= len(_LATTICE):
-        raise ValueError(f"fit: multistart must be 1 to {len(_LATTICE)} (the points of the "
-                         f"{len(_LATTICE)}-point start lattice), got {multistart}")
-
-    fam = FAMILIES[family]
+        raise ValueError(_DEGENERATE)
     quad = _CvmQuadrature(ecdf, support_pad)
-    lo, hi = np.transpose(fam.bounds)
-    m1, v = _log_moments(ecdf)
-    starts = np.clip(np.add(fam.start(m1, max(v, 1e-4)), _LATTICE[:multistart]), lo, hi)
-    real = _exact_cvm(quad, _solve(family, quad, fam.make, fam.bounds, fam.scale, fam.fields,
-                                   starts))
-    return _restrict_to_integer_m(quad, real, m1) if integer_m else real
+    real = _fit_row(family, quad, multistart)
+    return _restrict_to_integer_m(quad, real) if integer_m else real
 
 
 def compare_families(
@@ -551,34 +563,31 @@ def compare_families(
 ) -> list[FitResult]:
     """Fit each family and rank ascending by the CvM statistic.
 
-    The integer-m row restricts the unconstrained inverse-gamma fit, which
-    runs once. Per-family failures are collected: if every requested fit
-    fails the aggregated error is raised, and otherwise each failed row warns
+    Every row shares one quadrature of the data (and its Hermite map). The
+    integer-m row restricts the unconstrained inverse-gamma fit, which runs
+    once. Per-family failures are collected: if every requested fit fails
+    the aggregated error is raised, and otherwise each failed row warns
     with a FitFailedWarning "<family>: <reason>". Invalid options raise
     ValueError before any fit.
     """
-    if not families:
-        raise ValueError("compare_families: no families requested")
-    if integer_m and "inverse_gamma" not in families:
-        raise ValueError(_INTEGER_M_ONLY)
-    if not (1 <= multistart <= len(_LATTICE) and 0 <= support_pad < math.inf):
-        raise ValueError(f"compare_families: need multistart 1 to {len(_LATTICE)} (the "
-                         f"{len(_LATTICE)}-point start lattice) and a finite support_pad >= 0, "
-                         f"got {multistart} and {support_pad}")
+    _check_options(families, integer_m, multistart, support_pad)
     results: list[FitResult] = []
     failures: list[str] = []
-    for family in families:
-        try:
-            results.append(fit(family, ecdf, False, multistart, support_pad))
-        except Exception as exc:  # aggregate and keep going
-            failures.append(f"{family}: {exc}")
+    if ecdf.t.size < 2:
+        failures = [f"{family}: {_DEGENERATE}" for family in families]
+    else:
+        quad = _CvmQuadrature(ecdf, support_pad)
+        for family in families:
+            try:
+                results.append(_fit_row(family, quad, multistart))
+            except Exception as exc:  # aggregate and keep going
+                failures.append(f"{family}: {exc}")
     real = next((r for r in results if r.family == "inverse_gamma"), None)
     if integer_m and real is None:
         failures.append("inverse_gamma_integer: the inverse_gamma fit it restricts failed")
     elif integer_m:
         try:
-            quad = _CvmQuadrature(ecdf, support_pad)
-            results.append(_restrict_to_integer_m(quad, real, _log_moments(ecdf)[0]))
+            results.append(_restrict_to_integer_m(quad, real))
         except Exception as exc:
             failures.append(f"inverse_gamma_integer: {exc}")
     if not results:

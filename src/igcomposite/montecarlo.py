@@ -156,9 +156,8 @@ def compare(
         knots = np.log(t)
         h = np.diff(knots)
         direct = (h > _WIDE_CELL) | (h == 0.0)
-        # row k holds step k's Gauss nodes, which lie in knot cell k (no rows
-        # for a single abscissa)
-        cells = quad.nodes[:quad.steps].reshape(h.size, quad.steps // max(h.size, 1))
+        # step k's Gauss nodes lie in knot cell k
+        cells = quad.cells
         direct_nodes = cells[direct]
         values = np.asarray(theory(np.concatenate(
             (t, direct_nodes.ravel(), quad.nodes[quad.steps:]))), dtype=float)

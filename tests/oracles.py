@@ -373,7 +373,7 @@ def hermite_map_compare(ecdf, theory, density, wide_cell, support_pad=0.0):
     t = ecdf.t
     knots = np.log(t)
     direct = np.ones(quad.nodes.size, dtype=bool)
-    direct[:quad.steps] = np.repeat(np.diff(knots) > wide_cell, quad.steps // max(t.size - 1, 1))
+    direct[:quad.steps] = np.repeat(np.diff(knots) > wide_cell, quad.cells.shape[1])
     # the map interpolates its leading nodes and takes the rest as given
     order = np.concatenate((np.flatnonzero(~direct), np.flatnonzero(direct)))
     interpolated = int(np.count_nonzero(~direct))

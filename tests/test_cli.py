@@ -347,11 +347,23 @@ class TestFit:
                          "--families", "gamma"]) == 2
             assert "line 3" in capsys.readouterr().err
 
-    def test_all_fits_fail_exits_4(self, tmp_path):
+    def test_all_fits_fail_exits_4(self, tmp_path, capsys):
+        # one distinct abscissa fails every row; with no pad the quadrature
+        # itself would have no support
         data = tmp_path / "flat.csv"
         data.write_text("value\n2.0\n2.0\n2.0\n")
+        for option in ([], ["--pad", "0"]):
+            assert main(["fit", "--data", str(data), "--scale", "ln",
+                         "--families", "gamma"] + option) == 4
+            assert capsys.readouterr().err.startswith("fit failed: all family fits failed")
+
+    def test_unknown_family_exits_2(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        self._write_samples(data, np.log(sh.sample_inverse_gamma(5.0, 1.0, 200, seed=5)))
         assert main(["fit", "--data", str(data), "--scale", "ln",
-                     "--families", "gamma"]) == 4
+                     "--families", "gamma,weibull"]) == 2
+        err = capsys.readouterr().err
+        assert "'weibull'" in err and "fit failed" not in err
 
     @pytest.mark.parametrize("option", [["--multistart", "0"], ["--pad", "-1"],
                                         ["--multistart", "14"], ["--pad", "nan"],
@@ -381,14 +393,14 @@ class TestFit:
                                    missing):
         # each failed row is named with its reason; the other rows are still
         # written and the exit code stays 0
-        library_fit = fitting.fit
+        library_row = fitting._fit_row
 
-        def fit(family, *args):
+        def fit_row(family, *args):
             if family == failing:
                 raise RuntimeError("no minimum")
-            return library_fit(family, *args)
+            return library_row(family, *args)
 
-        monkeypatch.setattr(fitting, "fit", fit)
+        monkeypatch.setattr(fitting, "_fit_row", fit_row)
         data, out = tmp_path / "d.csv", tmp_path / "r.csv"
         self._write_samples(data, np.log(sh.sample_inverse_gamma(5.0, 1.0, 300, seed=5)))
         argv = ["fit", "--data", str(data), "--scale", "ln", "--families",
@@ -470,6 +482,11 @@ class TestSimulate:
         assert rc == 2
         assert "count: --validate needs at least 2 samples, got 1" in capsys.readouterr().err
 
+    def test_no_samples_exits_2(self, capsys):
+        assert main(["simulate", "--config", RAYLEIGH_CFG, "--count", "0",
+                     "--seed", "1"]) == 2
+        assert "count must be >= 1, got 0" in capsys.readouterr().err
+
     def test_small_count_guard_scales(self, capsys):
         rc = main(["simulate", "--config", RAYLEIGH_CFG, "--count", "100",
                    "--seed", "1", "--validate"])
@@ -544,9 +561,10 @@ class TestGmgf:
         assert err.startswith("numeric non-convergence: Rayleigh(omega_x=1.0): GMGF at "
                               "p = 200.0, s = 0.0 is past double range")
 
-    def test_bad_domain_exits_2(self):
-        assert main(["gmgf", "--fading", '{"type":"rayleigh"}',
-                     "--p", "1", "--s", "1"]) == 2
+    def test_bad_domain_exits_2(self, capsys):
+        for p, s in (("1", "1"), ("-1", "-1"), ("nan", "-1")):
+            assert main(["gmgf", "--fading", '{"type":"rayleigh"}', f"--p={p}", f"--s={s}"]) == 2
+            assert capsys.readouterr().err.startswith("error: gmgf: ")
 
 
 def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):

@@ -171,14 +171,14 @@ class TestSolver:
 
     @pytest.mark.parametrize("family", sorted(ft.FAMILIES) + ["inverse_gamma_integer"])
     def test_jacobian_matches_central_differences(self, family):
+        quad = ft._CvmQuadrature(self.ECDF, 5.0)
         if family == "inverse_gamma_integer":
             make, bounds, scale = self.INTEGER_ROW
             x = np.array([math.log(2.3)])
         else:
             fam = ft.FAMILIES[family]
             make, bounds, scale = fam.make, fam.bounds, fam.scale
-            x = np.add(fam.start(*ft._log_moments(self.ECDF)), (0.3, -0.2))
-        quad = ft._CvmQuadrature(self.ECDF, 5.0)
+            x = np.add(fam.start(*quad.log_moments), (0.3, -0.2))
         residuals, jacobian = ft._objective(quad, make, bounds, scale)
         got = jacobian(x, residuals(x))
         want = central_jacobian(quad, make, x)
@@ -199,9 +199,9 @@ class TestSolver:
             seen.append(np.array(coords, dtype=float))
             return fam.make(coords)
 
-        mid = np.clip(fam.start(*ft._log_moments(self.ECDF)), lo, hi)
-        starts = [lo, hi, (hi[0], mid[1]), (mid[0], hi[1]), (lo[0], mid[1])]
         quad = ft._CvmQuadrature(self.ECDF, 5.0)
+        mid = np.clip(fam.start(*quad.log_moments), lo, hi)
+        starts = [lo, hi, (hi[0], mid[1]), (mid[0], hi[1]), (lo[0], mid[1])]
         res = ft._solve(family, quad, make, fam.bounds, fam.scale, fam.fields, starts)
         seen = np.array(seen)
         assert np.all((seen >= lo) & (seen <= hi))
@@ -324,30 +324,63 @@ class TestCompareFamilies:
     def test_integer_m_needs_the_inverse_gamma_family(self, monkeypatch):
         ecdf = ig_log_ecdf(5.0, 1.0, 200, seed=6)
         fits = []
-        monkeypatch.setattr(ft, "fit", lambda *args: fits.append(args))
+        monkeypatch.setattr(ft, "_fit_row", lambda *args: fits.append(args))
         with pytest.raises(ValueError, match="integer_m applies to the inverse_gamma family"):
             ft.compare_families(ecdf, ["gamma", "lognormal"], integer_m=True)
         assert fits == []
+
+    def test_unknown_family_among_known_ones_fails_before_any_fit(self, monkeypatch):
+        ecdf = ig_log_ecdf(5.0, 1.0, 200, seed=6)
+        fits = []
+        monkeypatch.setattr(ft, "_fit_row", lambda *args: fits.append(args))
+        with pytest.raises(ValueError, match="unknown family 'weibull'"):
+            ft.compare_families(ecdf, ["gamma", "weibull"])
+        assert fits == []
+
+    def test_one_quadrature_serves_every_row(self, monkeypatch):
+        ecdf = ig_log_ecdf(5.0, 1.0, 500, seed=6)
+        builds = {"_CvmQuadrature": 0, "_HermiteMap": 0}
+
+        def spy(cls):
+            library_init = cls.__init__
+
+            def init(self, *args):
+                builds[cls.__name__] += 1
+                library_init(self, *args)
+            monkeypatch.setattr(cls, "__init__", init)
+
+        spy(ft._CvmQuadrature)
+        spy(ft._HermiteMap)
+        ranked = ft.compare_families(ecdf, sorted(ft.FAMILIES), integer_m=True, multistart=2)
+        assert builds == {"_CvmQuadrature": 1, "_HermiteMap": 1}
+        # each row is the one fit() gives on its own, field for field
+        assert len(ranked) == 5
+        for res in ranked:
+            if res.family == "inverse_gamma_integer":
+                alone = ft.fit("inverse_gamma", ecdf, integer_m=True, multistart=2)
+            else:
+                alone = ft.fit(res.family, ecdf, multistart=2)
+            assert res == alone
 
     def test_failed_inverse_gamma_fit_fails_the_integer_row(self, monkeypatch):
         def failing(family, *args):
             raise RuntimeError("no minimum")
 
-        monkeypatch.setattr(ft, "fit", failing)
+        monkeypatch.setattr(ft, "_fit_row", failing)
         ecdf = ig_log_ecdf(5.0, 1.0, 200, seed=6)
         with pytest.raises(RuntimeError, match="inverse_gamma: no minimum; "
                                                "inverse_gamma_integer: the inverse_gamma fit"):
             ft.compare_families(ecdf, ["inverse_gamma"], integer_m=True)
 
     def test_failed_rows_warn_with_their_reason(self, monkeypatch):
-        library_fit = ft.fit
+        library_row = ft._fit_row
 
-        def fit(family, *args):
+        def fit_row(family, *args):
             if family == "gamma":
                 raise RuntimeError("no minimum")
-            return library_fit(family, *args)
+            return library_row(family, *args)
 
-        monkeypatch.setattr(ft, "fit", fit)
+        monkeypatch.setattr(ft, "_fit_row", fit_row)
         ecdf = ig_log_ecdf(5.0, 1.0, 200, seed=6)
         with pytest.warns(ft.FitFailedWarning, match="^gamma: no minimum$"):
             ranked = ft.compare_families(ecdf, ["gamma", "lognormal"], multistart=2)
@@ -518,7 +551,7 @@ class TestHermiteReduction:
             assert np.abs(gap).max() < 1e-9, res.family
         for fam in ft.FAMILIES.values():
             lo, hi = np.transpose(fam.bounds)
-            for x0 in np.clip(np.add(fam.start(*ft._log_moments(ecdf)), ft._LATTICE[:8]), lo, hi):
+            for x0 in np.clip(np.add(fam.start(*quad.log_moments), ft._LATTICE[:8]), lo, hi):
                 model = fam.make(x0)
                 gap = hermite_cdf(quad, model) - sh.log_domain_cdf(model, quad.nodes)
                 assert np.abs(gap).max() < 1e-7, (fam.name, x0)
@@ -574,7 +607,7 @@ class TestHermiteReduction:
         residuals, jacobian = ft._objective(quad, fam.make, fam.bounds, fam.scale)
         y = quad.hermite().y
         underflows = 0
-        for x in np.clip(np.add(fam.start(*ft._log_moments(ecdf)), ft._LATTICE), lo, hi):
+        for x in np.clip(np.add(fam.start(*quad.log_moments), ft._LATTICE), lo, hi):
             g = y * sh.pdf(fam.make(x), y)
             underflows += np.sum(g == 0.0)
             assert np.all(np.isfinite(jacobian(x, residuals(x)))), x

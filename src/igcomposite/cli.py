@@ -189,8 +189,8 @@ def _cmd_outage(args) -> int:
     return 0
 
 
-def _read_fit_csv(path: str) -> tuple[str, np.ndarray, np.ndarray | None]:
-    """Returns ("samples", values, None) or ("ecdf", t, cdf)."""
+def _read_fit_csv(path: str) -> tuple[np.ndarray, np.ndarray | None]:
+    """Returns (values, None) or (t, cdf)."""
     if not os.path.exists(path):
         raise ConfigError(f"data: no such file {path!r}")
     with open(path, newline="") as fh:
@@ -200,14 +200,11 @@ def _read_fit_csv(path: str) -> tuple[str, np.ndarray, np.ndarray | None]:
         except StopIteration:
             raise ConfigError("data: empty file") from None
         header = [h.strip().lower() for h in header]
-        if header == ["value"]:
-            kind, ncol = "samples", 1
-        elif header == ["t", "cdf"]:
-            kind, ncol = "ecdf", 2
-        else:
+        if header not in (["value"], ["t", "cdf"]):
             raise ConfigError(
                 f"data: line 1: expected header 'value' or 't,cdf', got {header}"
             )
+        ncol = len(header)
         cols: list[list[float]] = [[] for _ in range(ncol)]
         for lineno, row in enumerate(reader, start=2):
             if not row:
@@ -226,15 +223,7 @@ def _read_fit_csv(path: str) -> tuple[str, np.ndarray, np.ndarray | None]:
                 cols[j].append(v)
     if not cols[0]:
         raise ConfigError("data: no rows")
-    if kind == "samples":
-        return kind, np.asarray(cols[0]), None
-    t = np.asarray(cols[0])
-    f = np.asarray(cols[1])
-    if np.any(np.diff(t) <= 0):
-        raise ConfigError("data: t column must be strictly increasing")
-    if np.any(np.diff(f) < 0) or np.any(f < 0) or np.any(f > 1):
-        raise ConfigError("data: cdf column must be nondecreasing within [0, 1]")
-    return kind, t, f
+    return np.asarray(cols[0]), np.asarray(cols[1]) if ncol == 2 else None
 
 
 def _to_log_domain(values: np.ndarray, scale: str, direction: str) -> np.ndarray:
@@ -248,13 +237,11 @@ def _to_log_domain(values: np.ndarray, scale: str, direction: str) -> np.ndarray
 
 
 def _cmd_fit(args) -> int:
-    kind, a, b = _read_fit_csv(args.data)
+    values, cdf = _read_fit_csv(args.data)
     families = [f.strip() for f in args.families.split(",") if f.strip()]
-    if kind == "samples":
-        ecdf = montecarlo.empirical_cdf(_to_log_domain(a, args.scale, args.db_direction))
-    else:
-        t = _to_log_domain(a, args.scale, args.db_direction)
-        ecdf = montecarlo.EmpiricalCdf(t, b, sample_count=len(t))
+    t = _to_log_domain(values, args.scale, args.db_direction)
+    ecdf = (montecarlo.empirical_cdf(t) if cdf is None
+            else montecarlo.EmpiricalCdf(t, cdf, sample_count=len(t)))
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", fitting.FitFailedWarning)

@@ -56,8 +56,8 @@ class FitResult:
     and the integer-shape solves'); converged is true when the solve that
     produced the returned parameters met a stop rule (ftol, xtol or gtol)
     before its evaluation budget ran out. pinned names the fields of params
-    whose search coordinate sits on its `FAMILIES` bound (for the integer-m
-    row, omega_i only): such a row measures the box, not the family.
+    whose search coordinate sits on the edge of its search box (for the
+    integer-m row, omega_i only): such a row measures the box, not the family.
     """
 
     family: str
@@ -230,10 +230,8 @@ def cvm_statistic(
 
 
 # ---------------------------------------------------------------------------
-# Family descriptors: log-ish coordinates with box bounds
+# Family descriptors: log-ish coordinates, searched around a moment start
 # ---------------------------------------------------------------------------
-
-_LN_MEAN_LO, _LN_MEAN_HI = math.log(1e-6), math.log(1e6)
 
 
 def _make_lognormal(c):
@@ -256,7 +254,6 @@ def _make_invgamma(c):
 class _Family:
     name: str
     make: Callable
-    bounds: tuple[tuple[float, float], tuple[float, float]]
     start: Callable  # (log-mean, log-var) -> coords
     scale: tuple[float, float]  # coordinate direction that only rescales the law
     fields: tuple[str, str]  # the model field each coordinate sets
@@ -268,33 +265,29 @@ def _start_lognormal(m1, v):
 
 def _start_gamma(m1, v):
     k0 = min(max(1.0 / v, 0.06), 9e3)
-    om0 = math.exp(m1 - sc.digamma(k0) + math.log(k0))
-    return (math.log(k0), math.log(min(max(om0, 2e-6), 5e5)))
+    return (math.log(k0), m1 - sc.digamma(k0) + math.log(k0))
 
 
 def _start_invgauss(m1, v):
-    # exp past 700 lies far outside the clip bounds; a log variance above 709
-    # (dB data 3 dB wide under the paper's rescaling) would overflow it
-    mu0 = min(max(math.exp(min(m1 + v / 2.0, 700.0)), 2e-6), 5e5)
-    lam0 = min(max(mu0 / max(math.expm1(min(v, 700.0)), 1e-6), 2e-6), 5e5)
-    return (math.log(mu0), math.log(lam0))
+    # the lognormal's mean e^(m1 + v/2) and shape mean / (e^v - 1)
+    ln_mu0 = m1 + 0.5 * v
+    return (ln_mu0, ln_mu0 - v - math.log(-math.expm1(-v)))
 
 
-def _omega_start(m1, m):
-    """The inverse-gamma mean at shape m that matches the log-mean m1."""
-    return min(max(math.exp(m1 + sc.digamma(m)) / (m - 1.0 + 1e-12), 2e-6), 5e5)
+def _ln_omega_start(m1, m):
+    """ln of the inverse-gamma mean at shape m that matches the log-mean m1."""
+    return m1 + sc.digamma(m) - math.log(m - 1.0)
 
 
 def _start_invgamma(m1, v):
     m0 = min(max(1.0 / v, 1.01), 9e3)
-    return (math.log(m0 - 1.0), math.log(_omega_start(m1, m0)))
+    return (math.log(m0 - 1.0), _ln_omega_start(m1, m0))
 
 
 FAMILIES: dict[str, _Family] = {
     "lognormal": _Family(
         "lognormal",
         _make_lognormal,
-        ((_LN_MEAN_LO, _LN_MEAN_HI), (math.log(1e-3), math.log(5.0))),
         _start_lognormal,
         (1.0, 0.0),
         ("mu", "sigma"),
@@ -302,7 +295,6 @@ FAMILIES: dict[str, _Family] = {
     "gamma": _Family(
         "gamma",
         _make_gamma,
-        ((math.log(0.05), math.log(1e4)), (_LN_MEAN_LO, _LN_MEAN_HI)),
         _start_gamma,
         (0.0, 1.0),
         ("k", "omega"),
@@ -310,7 +302,6 @@ FAMILIES: dict[str, _Family] = {
     "inverse_gaussian": _Family(
         "inverse_gaussian",
         _make_invgauss,
-        ((_LN_MEAN_LO, _LN_MEAN_HI), (_LN_MEAN_LO, _LN_MEAN_HI)),
         _start_invgauss,
         (1.0, 1.0),
         ("mu_i", "lam"),
@@ -318,12 +309,22 @@ FAMILIES: dict[str, _Family] = {
     "inverse_gamma": _Family(
         "inverse_gamma",
         _make_invgamma,
-        ((math.log(1e-6), math.log(1e4)), (_LN_MEAN_LO, _LN_MEAN_HI)),
         _start_invgamma,
         (0.0, 1.0),
         ("m", "omega_i"),
     ),
 }
+
+# Every coordinate is searched within ln 1e6 of its moment start: the box moves
+# with the data, so a change of units (Y -> Y e^d) moves the fit along `scale`.
+_BOX = math.log(1e6)
+
+
+def _box(start) -> np.ndarray:
+    """(lo, hi) of each coordinate: the start +- _BOX, clipped to exp's range."""
+    return np.clip(np.asarray(start, dtype=float)[:, None] + (-_BOX, _BOX),
+                   shadowing._EXP_LO, shadowing._EXP_HI)
+
 
 # multistart offsets in coordinate space, applied around the moment start
 _LATTICE = [
@@ -422,14 +423,14 @@ def _objective(quad: _CvmQuadrature, make: Callable, bounds, scale):
     def residuals(coords) -> np.ndarray:
         model = make(coords)
         cdf = shadowing.log_domain_cdf(model, reduced.points)
-        g = y[:n_knots] * shadowing.pdf(model, y[:n_knots])
+        g = model._density(y[:n_knots], 1)
         return target - reduced.weighted(cdf[:n_knots], g, cdf[n_knots:])
 
     def jacobian(coords, r) -> np.ndarray:
         # along the scale direction dF/dd = -g and dg/dd = -g' at every
         # point, so the residuals' derivative is the map of +g
         model = make(coords)
-        g = y * shadowing.pdf(model, y)
+        g = model._density(y, 1)
         knot_g = g[:n_knots]
         with np.errstate(over="ignore", invalid="ignore"):
             slope = np.where(knot_g > 0, knot_g * model._log_slope(y[:n_knots]), 0.0)
@@ -451,8 +452,8 @@ def _exact_cvm(quad: _CvmQuadrature, res: FitResult) -> FitResult:
 
 def _solve(tag: str, quad: _CvmQuadrature, make: Callable, bounds, scale, fields,
            starts) -> FitResult:
-    """Best least-squares CvM minimum over the starts, in coordinates mapped
-    to a model by `make`; `fields` names the model field of each coordinate.
+    """Best least-squares CvM minimum over the starts (clipped into `bounds`)
+    in coordinates `make` maps to a model; `fields` names each one's field.
 
     A start stops once it enters the basin of a minimum an earlier start
     converged to, at a cost no lower than that minimum's: it can only find
@@ -467,7 +468,7 @@ def _solve(tag: str, quad: _CvmQuadrature, make: Callable, bounds, scale, fields
 
     best = None
     iterations = 0
-    for x0 in starts:
+    for x0 in np.clip(starts, lo, hi):
         x, cost, njev, converged = _levenberg_marquardt(
             residuals, jacobian, x0, lo, hi, known_basin)
         iterations += njev
@@ -486,15 +487,15 @@ def _restrict_to_integer_m(quad: _CvmQuadrature, real: FitResult) -> FitResult:
     started at the omega that matches the data's log-mean at shape m."""
     best, iterations = None, real.iterations
     for m in sorted({max(2, round(real.params.m) + d) for d in (-2, -1, 0, 1, 2)}):
+        start = (_ln_omega_start(quad.log_moments[0], m),)
         res = _solve(
             "inverse_gamma_integer",
             quad,
             lambda c, m=float(m): shadowing.InverseGamma(m=m, omega_i=math.exp(c[0])),
-            ((_LN_MEAN_LO, _LN_MEAN_HI),),
+            _box(start),
             (1.0,),
             ("omega_i",),
-            [(math.log(real.params.omega_i),),
-             (math.log(_omega_start(quad.log_moments[0], m)),)],
+            [(math.log(real.params.omega_i),), start],
         )
         iterations += res.iterations
         if best is None or res.cvm < best.cvm:
@@ -526,11 +527,10 @@ def _fit_row(family: str, quad: _CvmQuadrature, multistart: int) -> FitResult:
     """The unconstrained fit of `family` on the data's quadrature `quad`,
     from the first `multistart` lattice points around its moment start."""
     fam = FAMILIES[family]
-    lo, hi = np.transpose(fam.bounds)
     m1, v = quad.log_moments
-    starts = np.clip(np.add(fam.start(m1, max(v, 1e-4)), _LATTICE[:multistart]), lo, hi)
-    return _exact_cvm(quad, _solve(family, quad, fam.make, fam.bounds, fam.scale, fam.fields,
-                                   starts))
+    start = fam.start(m1, max(v, 1e-4))
+    return _exact_cvm(quad, _solve(family, quad, fam.make, _box(start), fam.scale, fam.fields,
+                                   np.add(start, _LATTICE[:multistart])))
 
 
 def fit(

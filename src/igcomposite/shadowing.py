@@ -1,13 +1,16 @@
 """Candidate shadowing distributions: lognormal, gamma, inverse Gaussian, inverse gamma.
 
 CDFs accept scalars or numpy arrays (the fitting objective evaluates them in
-bulk). Every PDF and CDF is finite over y in [e^-745, e^709], the abscissae
-`log_domain_cdf` maps to. The inverse-gamma family requires shape m > 1 so
-that the mean exists; m <= 1 is rejected everywhere.
+bulk). Every CDF, PDF f and density of ln Y, g = y f(y), is finite over y
+in [e^-745, e^709], the abscissae `log_domain_cdf` maps to, wherever its
+value fits a double: f = g / y is inf near e^-745 for a law that sits there.
+The inverse-gamma family requires shape m > 1 so that the mean exists; m <= 1
+is rejected everywhere.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -34,8 +37,9 @@ _EXP_LO, _EXP_HI = -745.0, 709.0
 
 class _Shadowing:
     """Argument handling shared by every shadowing law. A model supplies
-    `_cdf(y)`, `_pdf(y)` and `_log_slope(y)`, the slope d ln g / d ln y of
-    g = y f(y), on a float array of y > 0."""
+    `_cdf(y)`, `_density(y, a)` = y^a f(y) (a = 0: the PDF; a = 1: g, the
+    density of ln Y) and `_log_slope(y)`, the slope d ln g / d ln y, on a
+    float array of y > 0."""
 
     def cdf(self, y):
         """Model CDF at y > 0; vectorized over y."""
@@ -44,7 +48,7 @@ class _Shadowing:
 
     def pdf(self, y):
         """Model PDF at y > 0; vectorized over y."""
-        return _maybe_scalar(self._pdf(_as_positive(y, "shadowing.pdf: y")), y)
+        return _maybe_scalar(self._density(_as_positive(y, "shadowing.pdf: y"), 0), y)
 
 
 @dataclass(frozen=True)
@@ -61,9 +65,10 @@ class Lognormal(_Shadowing):
     def _cdf(self, y):
         return 0.5 + 0.5 * sc.erf((np.log(y) - self.mu) / np.sqrt(2.0 * self.sigma**2))
 
-    def _pdf(self, y):
+    def _density(self, y, a):
         z = (np.log(y) - self.mu) / self.sigma
-        return np.exp(-0.5 * z * z) / y / (self.sigma * np.sqrt(2.0 * np.pi))
+        with np.errstate(over="ignore"):
+            return np.exp(-0.5 * z * z) / (1.0 if a else y) / (self.sigma * np.sqrt(2.0 * np.pi))
 
     def _log_slope(self, y):
         return -(np.log(y) - self.mu) / self.sigma**2
@@ -86,10 +91,12 @@ class GammaShadowing(_Shadowing):
         with np.errstate(over="ignore"):
             return sc.gammainc(self.k, self.k * y / self.omega)
 
-    def _pdf(self, y):
+    def _density(self, y, a):
         k, om = self.k, self.omega
+        # k / om overflows where the mean is subnormal
+        lead = k * (np.log(k / om) if k / om < math.inf else np.log(k) - np.log(om))
         with np.errstate(over="ignore"):
-            return np.exp(k * np.log(k / om) + (k - 1.0) * np.log(y) - k * y / om - sc.gammaln(k))
+            return np.exp(lead + (k - 1.0 + a) * np.log(y) - k * y / om - sc.gammaln(k))
 
     def _log_slope(self, y):
         return self.k - self.k * y / self.omega
@@ -110,27 +117,32 @@ class InverseGaussian(_Shadowing):
 
     def _cdf(self, y):
         # second term assembled in log space: exp(2 lam/mu) overflows long
-        # before the Gaussian tail factor stops cancelling it
-        with np.errstate(over="ignore"):
-            root = np.sqrt(self.lam / y)
-            ratio = y / self.mu_i
-            return sc.ndtr(root * (ratio - 1.0)) + np.exp(
-                2.0 * self.lam / self.mu_i + sc.log_ndtr(-root * (ratio + 1.0))
-            )
+        # before the Gaussian tail factor stops cancelling it. Where 2 lam/mu
+        # itself overflows, that term is NaN and below 1e-150 of the first.
+        with np.errstate(over="ignore", invalid="ignore"):
+            root, ratio = np.sqrt(self.lam / y), y / self.mu_i
+            # where lam / y underflows to 0, both arguments are sqrt(lam y) / mu
+            near = np.sqrt(self.lam) * np.sqrt(y) / self.mu_i
+            below = np.where(root > 0, root * (ratio - 1.0), near)
+            above = np.where(root > 0, root * (ratio + 1.0), near)
+            second = np.exp(2.0 * self.lam / self.mu_i + sc.log_ndtr(-above))
+            return sc.ndtr(below) + np.where(np.isnan(second), 0.0, second)
 
-    def _pdf(self, y):
+    def _density(self, y, a):
         mu, lam = self.mu_i, self.lam
-        # q is inf / inf only where (y - mu)^2 and 2 mu^2 y both overflow, far
-        # past exp's range; y^-3/2 takes two steps, as y^3 underflows from
-        # y = 1e-108, and overflows only where exp(-q) is 0
+        # q is inf / inf or 0 / 0 where mu^2 and (y - mu)^2 leave the double
+        # range together, and relative to mu it is not. y^-3/2 takes two steps,
+        # as y^3 underflows from y = 1e-108, and overflows only where exp(-q) is 0
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            q = lam * (y - mu) ** 2 / (2.0 * mu**2 * y)
-            tail = np.exp(-np.where(np.isnan(q), np.inf, q))
-            return np.where(tail > 0, np.sqrt(lam / (2.0 * np.pi)) / y / np.sqrt(y) * tail, 0.0)
+            q = lam * (y - mu) ** 2 / (2.0 * mu * mu * y)
+            q = np.where(np.isnan(q), lam / (2.0 * y) * ((y - mu) / mu) ** 2, q)
+            tail = np.exp(-q)
+            lead = np.sqrt(lam / (2.0 * np.pi)) / (1.0 if a else y)
+            return np.where(tail > 0, lead / np.sqrt(y) * tail, 0.0)
 
     def _log_slope(self, y):
         mu, lam = self.mu_i, self.lam
-        return -0.5 - lam * y / (2.0 * mu**2) + lam / (2.0 * y)
+        return -0.5 - lam / (2.0 * mu) * (y / mu) + lam / (2.0 * y)
 
 
 @dataclass(frozen=True)
@@ -150,10 +162,10 @@ class InverseGamma(_Shadowing):
         with np.errstate(over="ignore"):
             return sc.gammaincc(self.m, self.omega_i * (self.m - 1.0) / y)
 
-    def _pdf(self, y):
+    def _density(self, y, a):
         m, rate = self.m, self.omega_i * (self.m - 1.0)
         with np.errstate(over="ignore"):
-            return np.exp(m * np.log(rate) - sc.gammaln(m) - (m + 1.0) * np.log(y) - rate / y)
+            return np.exp(m * np.log(rate) - sc.gammaln(m) - (m + 1.0 - a) * np.log(y) - rate / y)
 
     def _log_slope(self, y):
         return -self.m + self.omega_i * (self.m - 1.0) / y

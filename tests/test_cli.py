@@ -298,9 +298,10 @@ class TestFit:
         params = dict(kv.split("=") for kv in int_row[1].split(";"))
         assert float(params["m"]) == round(float(params["m"]))
 
-    def test_rows_on_a_bound_are_named(self, tmp_path, capsys):
-        # data far narrower than the search box allows: every family stops on
-        # a bound of FAMILIES, and the report stays as it was
+    def test_rows_on_a_bound_are_named(self, tmp_path, capsys, monkeypatch):
+        # a search box of each moment start +- 0.5: on these narrow
+        # data every family stops on its edge, and the report stays as it was
+        monkeypatch.setattr(fitting, "_BOX", 0.5)
         data = tmp_path / "d.csv"
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(45)))
         self._write_samples(data, rng.normal(3.0, 0.001, 500))
@@ -415,18 +416,32 @@ class TestFit:
         # 300 draws of N(-25, 3) dB, ln y ~ -217 +- 26. The inverse Gaussian
         # row was lost: its density took y^3 to 0 and the fit raised "mu_i
         # must be > 0, got nan" (seed 1), or its moment start overflowed
-        # expm1 at a log variance of 741 (seed 20)
+        # expm1 at a log variance of 741 (seed 20). Under a box of absolute
+        # bounds (means down to 1e-6) every row stopped on it at CvM 60-88.
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
         data, out = tmp_path / "d.csv", tmp_path / "r.csv"
         self._write_samples(data, rng.normal(-25.0, 3.0, 300))
         assert main(["fit", "--data", str(data), "--scale", "db", "--families",
                      "inverse_gaussian,lognormal,gamma,inverse_gamma", "--out", str(out)]) == 0
-        # no row failed; a row may stop on a bound of the search box, whose
-        # means reach down to 1e-6 only (ln y ~ -13.8)
-        assert all(line.startswith("fit bound: ")
-                   for line in capsys.readouterr().err.splitlines())
+        # no row failed or stopped on its search box, and the true law ranks first
+        assert capsys.readouterr().err == ""
         _, rows = read_csv(out)
         assert sorted(r[0] for r in rows) == sorted(fitting.FAMILIES)
+        assert rows[0][0] == "lognormal"
+
+    def test_field_units(self, tmp_path, capsys):
+        # received power near 1 nW, ln y ~ N(ln 1e-9, 0.92), read linear: the
+        # search follows the data's units. A box of absolute bounds (means
+        # from 1e-6) pinned all four rows and ranked inverse gamma first.
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(7)))
+        data, out = tmp_path / "d.csv", tmp_path / "r.csv"
+        self._write_samples(data, np.exp(rng.normal(math.log(1e-9), 0.92, 400)))
+        assert main(["fit", "--data", str(data), "--scale", "linear", "--out", str(out)]) == 0
+        assert "fit bound:" not in capsys.readouterr().err
+        _, rows = read_csv(out)
+        assert rows[0][0] == "lognormal"
+        mu = float(dict(kv.split("=") for kv in rows[0][1].split(";"))["mu"])
+        assert mu == pytest.approx(math.log(1e-9), abs=0.15)
 
     def test_db_direction_flag(self, tmp_path):
         data = tmp_path / "d.csv"

@@ -1,5 +1,4 @@
 import functools
-import importlib.util
 import math
 import sys
 from pathlib import Path
@@ -7,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from igcomposite import cli
 from igcomposite import fitting as ft
 from igcomposite import montecarlo as mc
 from igcomposite import shadowing as sh
@@ -94,11 +94,15 @@ class TestFit:
         assert multi.cvm <= single.cvm + 1e-15
 
     def test_params_stay_in_box(self):
-        # data wildly outside any sensible support still yields boxed params
+        # data far from unit scale fit where they lie, inside the box around
+        # the moment start: the mean omega near e^42
         ecdf = mc.empirical_cdf(np.linspace(40.0, 45.0, 200))
         res = ft.fit("gamma", ecdf, multistart=2)
-        assert 0.05 <= res.params.k <= 1e4
-        assert 1e-6 <= res.params.omega <= 1e6
+        fam = ft.FAMILIES["gamma"]
+        lo, hi = ft._box(fam.start(*ft._CvmQuadrature(ecdf, 5.0).log_moments)).T
+        coords = np.log([res.params.k, res.params.omega])
+        assert np.all((lo < coords) & (coords < hi)) and res.pinned == ()
+        assert 40.0 < coords[1] < 45.0
 
     def test_integer_m_fit(self):
         ecdf = ig_log_ecdf(9.82, 1.05, 5000, seed=13)
@@ -115,8 +119,8 @@ class TestFit:
         assert constrained.cvm - real.cvm <= 0.1 * real.cvm
 
     def test_integer_m_starts_at_each_shapes_own_mean(self):
-        # the unconstrained fit runs to the m - 1 = 1e-6 bound at omega
-        # 1.7e5; started there alone, the m = 2 row stayed put with CvM 6.97
+        # the unconstrained fit runs toward m = 1 (m - 1 = 1.7e-7 at omega
+        # 1e6); started there alone, the m = 2 row stayed put with CvM 6.97
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(1)))
         ecdf = mc.empirical_cdf(np.log(rng.weibull(0.7, 30)))
         real = ft.fit("inverse_gamma", ecdf)
@@ -142,6 +146,31 @@ class TestFit:
             ft.fit("weibull", ecdf)
         with pytest.raises(ValueError):
             ft.fit("gamma", ecdf, integer_m=True)
+
+
+@functools.lru_cache(maxsize=None)
+def shifted_rows(shift):
+    t = np.log(sh.sample_inverse_gamma(3.0, 2.0, 500, seed=102)) + shift
+    return ft.compare_families(mc.empirical_cdf(t), sorted(ft.FAMILIES), integer_m=True)
+
+
+class TestUnitChange:
+    """Every family is a scale family and its search box sits around a
+    moment start that moves with the data, so a change of units (ln y -> ln y
+    + c) moves each row by c along its `scale` and keeps its CvM and rank."""
+
+    @pytest.mark.parametrize("shift", [-40.0, -15.0, 15.0, 40.0])
+    def test_shifted_logs_move_each_row_along_its_scale(self, shift):
+        base, moved = shifted_rows(0.0), shifted_rows(shift)
+        assert [r.family for r in moved] == [r.family for r in base]
+        for res, want in zip(moved, base):
+            assert res.pinned == () and want.pinned == (), res
+            assert res.cvm == pytest.approx(want.cvm, rel=1e-9, abs=0.0), res.family
+            scale = ft.FAMILIES[want.family.removesuffix("_integer")].scale
+            # the lognormal's mu is a location; every other field scales
+            expect = [value + shift * along if name == "mu" else value * math.exp(shift * along)
+                      for (name, value), along in zip(vars(want.params).items(), scale)]
+            assert params_of(res) == pytest.approx(expect, rel=1e-6), res.family
 
 
 def central_jacobian(quad, make, x, h=1e-5):
@@ -177,8 +206,9 @@ class TestSolver:
             x = np.array([math.log(2.3)])
         else:
             fam = ft.FAMILIES[family]
-            make, bounds, scale = fam.make, fam.bounds, fam.scale
-            x = np.add(fam.start(*quad.log_moments), (0.3, -0.2))
+            start = fam.start(*quad.log_moments)
+            make, bounds, scale = fam.make, ft._box(start), fam.scale
+            x = np.add(start, (0.3, -0.2))
         residuals, jacobian = ft._objective(quad, make, bounds, scale)
         got = jacobian(x, residuals(x))
         want = central_jacobian(quad, make, x)
@@ -192,7 +222,6 @@ class TestSolver:
     @pytest.mark.parametrize("family", sorted(ft.FAMILIES))
     def test_solver_stays_in_box_from_a_bound(self, family):
         fam = ft.FAMILIES[family]
-        lo, hi = np.transpose(fam.bounds)
         seen = []
 
         def make(coords):
@@ -200,9 +229,11 @@ class TestSolver:
             return fam.make(coords)
 
         quad = ft._CvmQuadrature(self.ECDF, 5.0)
-        mid = np.clip(fam.start(*quad.log_moments), lo, hi)
+        mid = fam.start(*quad.log_moments)
+        box = ft._box(mid)
+        lo, hi = box.T
         starts = [lo, hi, (hi[0], mid[1]), (mid[0], hi[1]), (lo[0], mid[1])]
-        res = ft._solve(family, quad, make, fam.bounds, fam.scale, fam.fields, starts)
+        res = ft._solve(family, quad, make, box, fam.scale, fam.fields, starts)
         seen = np.array(seen)
         assert np.all((seen >= lo) & (seen <= hi))
         # solves started on the upper bounds, whose forward differences
@@ -433,11 +464,28 @@ class TestAgainstIndependentFitter:
         assert res.cvm == pytest.approx(cvm, rel=1e-6)
 
 
-_CATALOG_PATH = Path(__file__).resolve().parents[1] / "bench" / "catalog.py"
-_CATALOG_SPEC = importlib.util.spec_from_file_location("bench_catalog", _CATALOG_PATH)
-# registered first: its dataclasses look their module up by name
-catalog = sys.modules[_CATALOG_SPEC.name] = importlib.util.module_from_spec(_CATALOG_SPEC)
-_CATALOG_SPEC.loader.exec_module(catalog)
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import catalog  # noqa: E402
+import checks  # noqa: E402
+import workload  # noqa: E402
+
+
+class TestBenchReference:
+    """The benchmark's fit cases, run in-process as bench/workload.py runs
+    them, meet bench/reference.json under bench/checks.py."""
+
+    def test_every_fit_case_meets_its_reference(self, tmp_path):
+        for spec in (s for specs in catalog.DATASETS.values() for s in specs):
+            catalog.write_dataset(spec, str(tmp_path))
+        refs = workload.load_references()
+        cases = [c for cases in catalog.strata("fit").values() for c in cases]
+        failed = {}
+        for case in cases:
+            _, rc, error, stdout, out = workload.run_op(cli, case, str(tmp_path))
+            reasons = checks.check(case, refs.get(case.id), rc, error, stdout, out)
+            if reasons:
+                failed[case.id] = reasons
+        assert len(cases) == 40 and failed == {}
 
 
 class TestMergedStarts:
@@ -513,10 +561,12 @@ def bench_rows(name):
 
 
 class TestPinnedRows:
-    """A row whose search coordinate stops on its FAMILIES bound names the
-    field; on such data the ranking measures the box."""
+    """A row whose search coordinate stops on the edge of its search box
+    names the field; on such data the ranking measures the box."""
 
-    def test_narrow_data_pin_every_family(self):
+    def test_narrow_data_pin_every_family(self, monkeypatch):
+        # a box of each moment start +- 0.5 holds none of these minima
+        monkeypatch.setattr(ft, "_BOX", 0.5)
         ecdf = mc.empirical_cdf(philox(45).normal(3.0, 0.001, 500))
         rows = {r.family: r for r in ft.compare_families(ecdf, sorted(ft.FAMILIES))}
         assert {family: r.pinned for family, r in rows.items()} == {
@@ -550,8 +600,7 @@ class TestHermiteReduction:
             gap = hermite_cdf(quad, res.params) - sh.log_domain_cdf(res.params, quad.nodes)
             assert np.abs(gap).max() < 1e-9, res.family
         for fam in ft.FAMILIES.values():
-            lo, hi = np.transpose(fam.bounds)
-            for x0 in np.clip(np.add(fam.start(*quad.log_moments), ft._LATTICE[:8]), lo, hi):
+            for x0 in np.add(fam.start(*quad.log_moments), ft._LATTICE[:8]):
                 model = fam.make(x0)
                 gap = hermite_cdf(quad, model) - sh.log_domain_cdf(model, quad.nodes)
                 assert np.abs(gap).max() < 1e-7, (fam.name, x0)
@@ -603,11 +652,12 @@ class TestHermiteReduction:
         ecdf = mc.empirical_cdf(philox(45).normal(center, width, 500))
         quad = ft._CvmQuadrature(ecdf, 5.0)
         fam = ft.FAMILIES[family]
-        lo, hi = np.transpose(fam.bounds)
-        residuals, jacobian = ft._objective(quad, fam.make, fam.bounds, fam.scale)
+        start = fam.start(*quad.log_moments)
+        box = ft._box(start)
+        residuals, jacobian = ft._objective(quad, fam.make, box, fam.scale)
         y = quad.hermite().y
         underflows = 0
-        for x in np.clip(np.add(fam.start(*quad.log_moments), ft._LATTICE), lo, hi):
+        for x in np.clip(np.add(start, ft._LATTICE), *box.T):
             g = y * sh.pdf(fam.make(x), y)
             underflows += np.sum(g == 0.0)
             assert np.all(np.isfinite(jacobian(x, residuals(x)))), x

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import typing
+import warnings
 
 import numpy as np
 import pytest
@@ -222,6 +223,27 @@ def test_finite_over_the_log_domain_and_equal_to_the_closed_form(model):
     for value, formula in zip((pdf, cdf), closed_form(model, y)):
         ok = np.isfinite(formula)
         np.testing.assert_allclose(value[ok], formula[ok], rtol=1e-14, atol=1e-300)
+
+
+@pytest.mark.parametrize("lam", [1e-200, 1.0, 1e200])
+@pytest.mark.parametrize("mu_i", [1e-200, 1.0, 1e200])
+def test_inverse_gaussian_is_finite_for_far_parameters(mu_i, lam):
+    # a fit's box reaches such parameters; mu_i^2 overflowed (OverflowError)
+    # and 2 lam / mu_i or 0 * inf made the CDF NaN with a RuntimeWarning
+    model = sh.InverseGaussian(mu_i, lam)
+    y = np.exp([-745.0, 0.0, 709.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pdf, cdf = sh.pdf(model, y), sh.cdf(model, y)
+    assert np.all(np.isfinite(pdf) & (pdf >= 0.0)) and np.all(np.isfinite(cdf))
+    if mu_i == lam:
+        # Y / mu_i follows InverseGaussian(1, lam / mu_i)
+        with np.errstate(over="ignore"):
+            unit, scaled = sh.InverseGaussian(1.0, 1.0), y / mu_i
+        ok = (scaled > 0) & (scaled < math.inf)
+        np.testing.assert_allclose(cdf[ok], sh.cdf(unit, scaled[ok]), rtol=1e-12, atol=1e-300)
+        np.testing.assert_allclose(pdf[ok] * mu_i, sh.pdf(unit, scaled[ok]), rtol=1e-12,
+                                   atol=1e-300)
 
 
 @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: type(m).__name__)
